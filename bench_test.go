@@ -193,9 +193,9 @@ func servingFixture(b *testing.B, batch int) (*Predictor, [][]int) {
 }
 
 // sparseServingFixture is servingFixture after VeST-style pruning: half the
-// core entries are removed by position and the mode-sorted layout rebuilt, so
-// the serving benchmarks exercise the grouped sparse kernels at |G|/2. The
-// ns/op ratio against the dense fixtures is the payoff of sparsification.
+// core entries are removed by position and the layout re-finalized, so the
+// serving benchmarks run the tree kernels on |G|/2 leaves. The ns/op ratio
+// against the dense fixtures is the payoff of sparsification.
 func sparseServingFixture(b *testing.B, batch int) (*Predictor, [][]int) {
 	b.Helper()
 	m, idxs := servingModel(b, batch)
@@ -220,8 +220,8 @@ func BenchmarkPredictorPredict(b *testing.B) {
 }
 
 // BenchmarkPredictSparse is BenchmarkPredictorPredict on the half-pruned
-// core: single-cell cost is linear in live |G|, so ns/op should land near
-// half the dense figure.
+// core: the tree visits only live leaves, but every inner node keeps a child
+// here, so ns/op drops by less than half.
 func BenchmarkPredictSparse(b *testing.B) {
 	p, idxs := sparseServingFixture(b, 1)
 	b.ReportAllocs()
@@ -232,7 +232,7 @@ func BenchmarkPredictSparse(b *testing.B) {
 }
 
 // BenchmarkRecommend measures a top-10 query over the items mode through the
-// Recommender's mode-grouped contraction.
+// Recommender's free-mode tree contraction.
 func BenchmarkRecommend(b *testing.B) {
 	p, idxs := servingFixture(b, 1)
 	r := p.Recommender()

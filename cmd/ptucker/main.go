@@ -144,10 +144,11 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown method %q (want ptucker, cache, approx)", *method))
 	}
+	var streamed core.IterStats
 	if *progress {
 		cfg.OnIteration = func(it core.IterStats) error {
-			fmt.Printf("iter %2d: error %.6g (%.3gs, |G|=%d)\n",
-				it.Iter, it.Error, it.Elapsed.Seconds(), it.CoreNNZ)
+			printIter(it)
+			streamed = it
 			return nil
 		}
 	}
@@ -162,9 +163,13 @@ func main() {
 	}
 	if !*progress {
 		for _, it := range m.Trace {
-			fmt.Printf("iter %2d: error %.6g (%.3gs, |G|=%d)\n",
-				it.Iter, it.Error, it.Elapsed.Seconds(), it.CoreNNZ)
+			printIter(it)
 		}
+	} else if n := len(m.Trace); n > 0 && m.Trace[n-1].RowUpdate > streamed.RowUpdate {
+		// The P-Tucker-Approx finalize refit runs after the last streamed
+		// line; its time is folded into the trace's last iteration.
+		fmt.Printf("finalize refit: %.3gs (counted in iter %d)\n",
+			(m.Trace[n-1].RowUpdate - streamed.RowUpdate).Seconds(), m.Trace[n-1].Iter)
 	}
 	fmt.Printf("final: error %.6g, fit %.4f, converged %v\n", m.TrainError, m.Fit(x), m.Converged)
 	if test != nil {
@@ -274,4 +279,11 @@ func writeModel(dir string, m *core.Model) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ptucker:", err)
 	os.Exit(1)
+}
+
+// printIter prints one ALS iteration: its error, wall time and the share of
+// it spent in the row updates and the error pass, and |G|.
+func printIter(it core.IterStats) {
+	fmt.Printf("iter %2d: error %.6g (%.3gs: rows %.3gs, error pass %.3gs; |G|=%d)\n",
+		it.Iter, it.Error, it.Elapsed.Seconds(), it.RowUpdate.Seconds(), it.ErrorPass.Seconds(), it.CoreNNZ)
 }

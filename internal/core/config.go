@@ -29,6 +29,10 @@ const (
 	// PTuckerApprox truncates the top-p fraction of core entries ranked by
 	// partial reconstruction error R(β) after every iteration, shrinking |G|
 	// and therefore per-iteration time, at a small accuracy cost.
+	// Departure from Algorithm 2: before finalizing (fit and warm Refit),
+	// the factors get one more row-wise update against the last truncated
+	// core, which follows the last factor update; the last IterStats'
+	// RowUpdate and Elapsed count its time.
 	PTuckerApprox
 )
 

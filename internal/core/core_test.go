@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +45,7 @@ func plantedTensor(rng *rand.Rand, dims, ranks []int, nnz int, noise float64) *t
 		for k := 0; k < n; k++ {
 			rows[k] = factors[k].Row(idx[k])
 		}
-		v := predictWithRows(g, rows) + noise*rng.NormFloat64()
+		v := naivePredict(g, rows) + noise*rng.NormFloat64()
 		t.MustAppend(idx, v)
 	}
 	return t
@@ -559,6 +561,71 @@ func TestTraceTimings(t *testing.T) {
 	for i, it := range m.Trace {
 		if it.Iter != i+1 {
 			t.Fatalf("trace iteration numbering broken at %d", i)
+		}
+	}
+}
+
+// TestTracePhases checks the fit phase ledger: the row-update and error-pass
+// durations are measured inside each iteration, so they are positive and
+// never add up to more than the iteration's wall time.
+func TestTracePhases(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 100, 0.05)
+	for _, method := range []Method{PTucker, PTuckerCache, PTuckerApprox} {
+		cfg := smallConfig([]int{2, 2, 2})
+		cfg.Method = method
+		m, err := Decompose(x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range m.Trace {
+			if it.RowUpdate <= 0 || it.ErrorPass <= 0 {
+				t.Fatalf("%v iteration %d: phases %v + %v must be positive", method, it.Iter, it.RowUpdate, it.ErrorPass)
+			}
+			if it.RowUpdate+it.ErrorPass > it.Elapsed {
+				t.Fatalf("%v iteration %d: row update %v + error pass %v exceed elapsed %v",
+					method, it.Iter, it.RowUpdate, it.ErrorPass, it.Elapsed)
+			}
+		}
+	}
+}
+
+// TestApproxRefitTimedAndCancellable: the P-Tucker-Approx finalize refit
+// runs after the hook has seen the last iteration; its time lands in that
+// iteration's trace entry, and a context cancelled from the last hook call
+// stops it (a plain fit has no refit and finishes).
+func TestApproxRefitTimedAndCancellable(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 100, 0.05)
+	cfg := smallConfig([]int{2, 2, 2})
+	cfg.Method = PTuckerApprox
+	var seen IterStats
+	cfg.OnIteration = func(it IterStats) error { seen = it; return nil }
+	m, err := Decompose(x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := m.Trace[len(m.Trace)-1]
+	if last.RowUpdate <= seen.RowUpdate || last.Elapsed-seen.Elapsed != last.RowUpdate-seen.RowUpdate {
+		t.Fatalf("refit not counted: hook saw %+v, trace holds %+v", seen, last)
+	}
+
+	for _, method := range []Method{PTuckerApprox, PTucker} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Method = method
+		cfg.OnIteration = func(it IterStats) error {
+			if it.Iter == cfg.MaxIters {
+				cancel()
+			}
+			return nil
+		}
+		m, err := DecomposeContext(ctx, x, cfg)
+		cancel()
+		if method == PTuckerApprox && (m != nil || !errors.Is(err, context.Canceled)) {
+			t.Fatalf("approx refit ignored cancellation: model %v, err %v", m != nil, err)
+		}
+		if method == PTucker && err != nil {
+			t.Fatalf("plain fit: %v", err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/tensor"
@@ -20,29 +21,31 @@ const RotationDropTol = 1e-14
 
 // CoreTensor is the Tucker core G represented as an explicit list of live
 // entries (β, Gβ). A dense array would suffice for P-Tucker and
-// P-Tucker-Cache, but P-Tucker-Approx removes entries each iteration, and all
-// three variants iterate "∀β ∈ G" in their inner loops — the entry list makes
-// that loop a flat scan and makes |G| shrink for free after truncation.
+// P-Tucker-Cache, but P-Tucker-Approx removes entries each iteration, so the
+// entry list makes |G| shrink for free after truncation.
 //
 // Entry e has multi-index Idx[e*N : (e+1)*N] and value Val[e].
 //
-// A finalized core (see FinalizeLayout) additionally carries a mode-sorted
-// layout: entries ordered by little-endian linear offset, grouped by their
-// last-mode coordinate, which the prediction and recommendation kernels
-// iterate group-by-group instead of as a flat scan.
+// Every kernel that sums over the core — δ, prediction, the error pass,
+// fold-in, and recommendation — runs on a CSF tree over the entries, one per
+// root mode (see coreTree), built lazily from the entry list and rebuilt
+// whenever the entries or their values change. A finalized core (see
+// FinalizeLayout) additionally keeps its entry list in canonical offset
+// order, the order model files persist.
 type CoreTensor struct {
 	dims []int
 	idx  []int
 	val  []float64
 
-	// groupOff, when non-nil, marks the finalized mode-sorted layout:
-	// entries are sorted by little-endian linear offset (mode 0 fastest),
-	// which groups them by their last-mode coordinate, and
-	// groupOff[j]..groupOff[j+1] is the entry range whose last-mode index is
-	// j (len(groupOff) == dims[N-1]+1). Any mutation of the entry list
-	// (RemoveEntries, FromDense, RotateAll*) invalidates it; FinalizeLayout
-	// rebuilds it.
-	groupOff []int
+	// finalized marks the canonical entry order: entries sorted by
+	// little-endian linear offset (mode 0 fastest). Any mutation of the
+	// entry list (RemoveEntries, FromDense, RotateAll*) clears it;
+	// FinalizeLayout sets it.
+	finalized bool
+
+	// trees caches the contraction trees of the current entry set; nil
+	// until first use and after every change to the entries.
+	trees atomic.Pointer[coreTrees]
 }
 
 // NewRandomCore returns a full core with dims = ranks whose values are drawn
@@ -95,17 +98,23 @@ func (c *CoreTensor) Index(e int) []int {
 func (c *CoreTensor) Value(e int) float64 { return c.val[e] }
 
 // SetValue overwrites entry e's value. The finalized layout (which depends
-// only on entry positions, not values) survives.
-func (c *CoreTensor) SetValue(e int, v float64) { c.val[e] = v }
+// only on entry positions, not values) survives; the trees are rebuilt.
+func (c *CoreTensor) SetValue(e int, v float64) {
+	c.val[e] = v
+	c.resetTrees()
+}
 
-// Clone returns a deep copy, finalized layout included.
+// Clone returns a deep copy, finalized layout included. The copy shares the
+// original's immutable contraction trees until either side changes.
 func (c *CoreTensor) Clone() *CoreTensor {
-	return &CoreTensor{
-		dims:     append([]int(nil), c.dims...),
-		idx:      append([]int(nil), c.idx...),
-		val:      append([]float64(nil), c.val...),
-		groupOff: append([]int(nil), c.groupOff...),
+	d := &CoreTensor{
+		dims:      append([]int(nil), c.dims...),
+		idx:       append([]int(nil), c.idx...),
+		val:       append([]float64(nil), c.val...),
+		finalized: c.finalized,
 	}
+	d.trees.Store(c.treeSet())
+	return d
 }
 
 // strides returns the little-endian linear strides of the core's shape:
@@ -134,71 +143,35 @@ func (c *CoreTensor) entryOffset(e int, strides []int) int {
 	return off
 }
 
-// Finalized reports whether the core carries the finalized mode-sorted
-// layout (see FinalizeLayout).
-func (c *CoreTensor) Finalized() bool { return c.groupOff != nil }
-
-// GroupOffsets returns the finalized layout's per-group entry offsets (nil
-// when the core is not finalized): entries groupOff[j]..groupOff[j+1] are
-// exactly those whose last-mode coordinate is j. The slice must not be
-// modified.
-func (c *CoreTensor) GroupOffsets() []int { return c.groupOff }
+// Finalized reports whether the core's entry list is in the canonical
+// offset order (see FinalizeLayout).
+func (c *CoreTensor) Finalized() bool { return c.finalized }
 
 // FinalizeLayout sorts the entry list into the canonical little-endian
-// offset order (mode 0 fastest — the enumeration order of a dense core) and
-// builds the per-group offsets over the last mode, the slowest-varying
-// coordinate, so each group is a contiguous entry range. The prediction and
-// top-K kernels then iterate groups, hoisting the last-mode factor value out
-// of the inner product and skipping groups whose factor entry is zero — the
-// layout that makes a pruned core's smaller |G| pay off at serve time.
+// offset order (mode 0 fastest — the enumeration order of a dense core), the
+// order model files persist and the mmap reader verifies. The sort is the
+// same radix pass the contraction trees use; the trees themselves do not
+// depend on the list order, so they survive.
 //
 // The layout is a property of entry positions only; SetValue keeps it, while
-// RemoveEntries, FromDense, and the rotations invalidate it. Finalizing an
-// already-sorted list (the common case: FromDense and RotateAllSparse both
-// emit offset order) does not move entries.
+// RemoveEntries, FromDense, and the rotations clear it. The sorted list is
+// written to fresh slices, so finalizing never writes through a mapping.
 func (c *CoreTensor) FinalizeLayout() {
-	n := len(c.dims)
-	if n == 0 {
+	if len(c.dims) == 0 {
 		return
 	}
-	strides := c.strides()
-	offs := make([]int, len(c.val))
-	sorted := true
-	for e := range c.val {
-		offs[e] = c.entryOffset(e, strides)
-		if e > 0 && offs[e] <= offs[e-1] {
-			sorted = false
-		}
+	idx := make([]int, 0, len(c.idx))
+	val := make([]float64, 0, len(c.val))
+	for _, e := range c.offsetOrder() {
+		idx = append(idx, c.Index(int(e))...)
+		val = append(val, c.val[e])
 	}
-	if !sorted {
-		perm := make([]int, len(c.val))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool { return offs[perm[a]] < offs[perm[b]] })
-		idx := make([]int, len(c.idx))
-		val := make([]float64, len(c.val))
-		for w, e := range perm {
-			copy(idx[w*n:(w+1)*n], c.idx[e*n:(e+1)*n])
-			val[w] = c.val[e]
-		}
-		c.idx, c.val = idx, val
-	}
-
-	last := n - 1
-	counts := make([]int, c.dims[last]+1)
-	for e := 0; e < len(c.val); e++ {
-		counts[c.idx[e*n+last]+1]++
-	}
-	for j := 1; j < len(counts); j++ {
-		counts[j] += counts[j-1]
-	}
-	c.groupOff = counts
+	c.idx, c.val, c.finalized = idx, val, true
 }
 
 // RemoveEntries deletes the entries whose positions (into the current entry
 // list) are marked true in drop, compacting the list in place. It returns the
-// number of removed entries. The finalized layout, if any, is invalidated.
+// number of removed entries. The finalized layout, if any, is cleared.
 func (c *CoreTensor) RemoveEntries(drop []bool) int {
 	n := len(c.dims)
 	w := 0
@@ -216,7 +189,8 @@ func (c *CoreTensor) RemoveEntries(drop []bool) int {
 	}
 	c.idx = c.idx[:w*n]
 	c.val = c.val[:w]
-	c.groupOff = nil
+	c.finalized = false
+	c.resetTrees()
 	return removed
 }
 
@@ -235,14 +209,15 @@ func (c *CoreTensor) ToDense() *tensor.Dense {
 // cell (including zeros, because a mode product can legitimately produce
 // structural zeros that later rotations revive — except when sparse is true,
 // in which case exact zeros are dropped). The finalized layout, if any, is
-// invalidated; the emitted entries are in canonical offset order, so a
+// cleared; the emitted entries are in canonical offset order, so a
 // subsequent FinalizeLayout does not move them.
 func (c *CoreTensor) FromDense(d *tensor.Dense, sparse bool) {
 	n := d.Order()
 	c.dims = append(c.dims[:0], d.Dims()...)
 	c.idx = c.idx[:0]
 	c.val = c.val[:0]
-	c.groupOff = nil
+	c.finalized = false
+	c.resetTrees()
 	idx := make([]int, n)
 	for off, v := range d.Data() {
 		if sparse && v == 0 {
@@ -281,10 +256,11 @@ func (c *CoreTensor) RotateAll(rs []*mat.Dense) {
 //
 // The entry list comes out in canonical offset order; per-offset
 // accumulation follows the source entry order, so equal inputs rotate
-// bit-identically. The finalized layout, if any, is invalidated.
+// bit-identically. The finalized layout, if any, is cleared.
 func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 	n := len(c.dims)
-	c.groupOff = nil
+	c.finalized = false
+	c.resetTrees()
 	strides := c.strides()
 	for mode := 0; mode < n; mode++ {
 		r := rs[mode]

@@ -8,66 +8,39 @@ import "math"
 // (Algorithm 3, note under lines 12/19).
 const aZeroTol = 1e-12
 
-// computeDelta fills w.delta with the δ(n)_α vector of Eq. (12) for observed
+// computeDelta fills w.out with the δ(n)_α vector of Eq. (12) for observed
 // entry alpha and the given mode: δ(jn) = Σ_{β∈G, βn=jn} Gβ ∏_{k≠n}
 // A(k)[ik][jk]. It returns the filled slice (length Jn).
 //
-// Plain P-Tucker recomputes the N-1 factor products per core entry, costing
-// O(N) per (α,β) pair; P-Tucker-Cache divides the memoized full product
-// Pres[α][β] by the mode-n factor entry, costing O(1) (this is the entire
-// time-vs-memory trade of the variant).
+// Plain P-Tucker contracts the core's tree rooted at the mode (see
+// coreTree.contract), about one multiply per core entry; P-Tucker-Cache
+// divides the memoized full product Pres[α][β] by the mode-n factor entry,
+// O(1) per (α,β) pair (this is the entire time-vs-memory trade of the
+// variant).
 func (st *state) computeDelta(mode, alpha int, w *workspace) []float64 {
 	g := st.core
 	n := g.Order()
 	jn := st.cfg.Ranks[mode]
-	delta := w.delta[:jn]
-	for j := range delta {
-		delta[j] = 0
-	}
+	delta := w.out[:jn]
 
-	idx := st.x.Index(alpha)
-	rows := w.rows
-	for k := 0; k < n; k++ {
-		rows[k] = st.factors[k].Row(idx[k])
-	}
-
-	gi := g.idx
-	gv := g.val
+	rows := w.load(st.factors, st.x.Index(alpha))
 	if st.cache == nil {
-		for e := 0; e < len(gv); e++ {
-			base := e * n
-			prod := gv[e]
-			for k := 0; k < n; k++ {
-				if k == mode {
-					continue
-				}
-				prod *= rows[k][gi[base+k]]
-			}
-			delta[gi[base+mode]] += prod
-		}
+		g.tree(mode).contract(rows, delta, w.buf)
 		return delta
 	}
 
 	// Cached path: δ(jn) += Pres[α][e] / A(n)[in][jn], with the direct
 	// product as fallback when the factor entry is (numerically) zero.
-	row := st.cache[alpha*st.cacheW : alpha*st.cacheW+len(gv)]
+	clear(delta)
+	row := st.cache[alpha*st.cacheW : alpha*st.cacheW+g.NNZ()]
 	modeRow := rows[mode]
-	for e := 0; e < len(gv); e++ {
-		base := e * n
-		j := gi[base+mode]
-		a := modeRow[j]
-		if math.Abs(a) > aZeroTol {
-			delta[j] += row[e] / a
+	for e, p := range row {
+		j := g.idx[e*n+mode]
+		if a := modeRow[j]; math.Abs(a) > aZeroTol {
+			delta[j] += p / a
 			continue
 		}
-		prod := gv[e]
-		for k := 0; k < n; k++ {
-			if k == mode {
-				continue
-			}
-			prod *= rows[k][gi[base+k]]
-		}
-		delta[j] += prod
+		delta[j] += g.entryProduct(e, mode, rows)
 	}
 	return delta
 }
@@ -85,28 +58,13 @@ func (st *state) buildCache() {
 	}
 	st.cacheW = width
 
-	n := st.x.Order()
 	g := st.core
-	gi := g.idx
-	gv := g.val
-	rowsBuf := make([][][]float64, st.cfg.Threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
+	scratch := scratchPerThread(g, st.cfg.Threads)
 	runIndexed(st.cfg.Threads, ScheduleStatic, 1, nnz, func(tid, alpha int) {
-		rows := rowsBuf[tid]
-		idx := st.x.Index(alpha)
-		for k := 0; k < n; k++ {
-			rows[k] = st.factors[k].Row(idx[k])
-		}
+		rows := scratch[tid].load(st.factors, st.x.Index(alpha))
 		out := st.cache[alpha*width : (alpha+1)*width]
-		for e := 0; e < width; e++ {
-			base := e * n
-			prod := gv[e]
-			for k := 0; k < n; k++ {
-				prod *= rows[k][gi[base+k]]
-			}
-			out[e] = prod
+		for e := range out {
+			out[e] = g.entryProduct(e, -1, rows)
 		}
 	})
 }
@@ -120,40 +78,26 @@ func (st *state) rescaleCache(mode int, oldA interface {
 }) {
 	n := st.x.Order()
 	g := st.core
-	gi := g.idx
-	gv := g.val
 	width := st.cacheW
-	rowsBuf := make([][][]float64, st.cfg.Threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
+	scratch := scratchPerThread(g, st.cfg.Threads)
 	runIndexed(st.cfg.Threads, ScheduleStatic, 1, st.x.NNZ(), func(tid, alpha int) {
 		idx := st.x.Index(alpha)
 		in := idx[mode]
 		oldRow := oldA.Row(in)
 		newRow := st.factors[mode].Row(in)
-		out := st.cache[alpha*width : alpha*width+len(gv)]
+		out := st.cache[alpha*width : alpha*width+g.NNZ()]
 		var rows [][]float64
-		for e := 0; e < len(gv); e++ {
-			base := e * n
-			j := gi[base+mode]
-			oldV := oldRow[j]
-			if math.Abs(oldV) > aZeroTol {
+		for e := range out {
+			j := g.idx[e*n+mode]
+			if oldV := oldRow[j]; math.Abs(oldV) > aZeroTol {
 				out[e] *= newRow[j] / oldV
 				continue
 			}
 			// Recompute the full product.
 			if rows == nil {
-				rows = rowsBuf[tid]
-				for k := 0; k < n; k++ {
-					rows[k] = st.factors[k].Row(idx[k])
-				}
+				rows = scratch[tid].load(st.factors, idx)
 			}
-			prod := gv[e]
-			for k := 0; k < n; k++ {
-				prod *= rows[k][gi[base+k]]
-			}
-			out[e] = prod
+			out[e] = g.entryProduct(e, -1, rows)
 		}
 	})
 }

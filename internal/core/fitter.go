@@ -198,7 +198,7 @@ func (f *Fitter) Refit(ctx context.Context, delta []Observation) (*Model, error)
 	if err := st.sweep(ctx, model); err != nil {
 		return nil, err
 	}
-	if err := st.finish(model); err != nil {
+	if err := st.finish(ctx, model); err != nil {
 		return nil, err
 	}
 	f.model = model
@@ -279,7 +279,7 @@ func (f *Fitter) FoldIn(mode int, obs []Observation) (int, error) {
 	st.omega = nil
 
 	// Solve Eq. 9 once for the new row with the shared row kernel.
-	w := newWorkspace(n, st.cfg.Ranks[mode])
+	w := newWorkspace(st.core, st.cfg.Ranks[mode])
 	st.solveRowEntries(mode, entries, grown.Row(newRow), w)
 	return newRow, nil
 }

@@ -101,7 +101,7 @@ func TestFoldInMatchesColdFitRowUpdate(t *testing.T) {
 			core:    before.Core.Clone(),
 			cfg:     vcfg,
 		}
-		st.updateRow(0, newRow, newWorkspace(x2.Order(), vcfg.Ranks[0]))
+		st.updateRow(0, newRow, newWorkspace(st.core, vcfg.Ranks[0]))
 		want := grown.Row(newRow)
 
 		for j := range want {

@@ -162,7 +162,8 @@ func aliasInt(data []byte, off, n int) []int {
 // its bulk blocks: the returned model's factor data, core indices, and core
 // values alias data directly. The mapping must outlive every use of the
 // model, and the model must not be mutated (the serving layer's online
-// paths clone before writing, so this holds there by construction).
+// paths clone before writing, so this holds there by construction). Kernel
+// trees are built on the heap at first use (see NewPredictorShared).
 //
 // Returns ErrNotMappable when the stream or platform cannot support
 // in-place serving (pre-v4 stream, non-finalized core, 32-bit int,
@@ -300,40 +301,17 @@ func ModelFromMapping(data []byte) (*Model, error) {
 	}
 	m.Core = g
 
-	// The same structural sanity the heap reader enforces: everything the
-	// prediction kernels dereference must be in range.
-	for k, a := range m.Factors {
-		if a.Cols() != dims[k] {
-			return nil, fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
-				ErrBadModelFormat, k, a.Cols(), dims[k])
-		}
+	// The same structural sanity the heap reader enforces.
+	if err := checkDecoded(m, coreFlags&coreFlagFinalized != 0); err != nil {
+		return nil, err
 	}
-	for e := 0; e < nnz; e++ {
-		for k := 0; k < order; k++ {
-			if i := g.idx[e*order+k]; i < 0 || i >= dims[k] {
-				return nil, fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
-					ErrBadModelFormat, e, k, i, dims[k])
-			}
-		}
-	}
-	if coreFlags&coreFlagFinalized == 0 {
+	if !g.finalized {
 		// Finalizing would sort — a write through the mapping. Models saved
 		// since the finalized layout landed always carry the flag; anything
-		// older goes through the heap decoder.
+		// older goes through the heap decoder. (The contraction trees are
+		// built on first use, on the heap, so a finalized mapping is never
+		// written.)
 		return nil, fmt.Errorf("%w: core entry list is not finalized", ErrNotMappable)
 	}
-	st := g.strides()
-	prev := -1
-	for e := 0; e < nnz; e++ {
-		off := g.entryOffset(e, st)
-		if off <= prev {
-			return nil, fmt.Errorf("%w: core flagged finalized but entry %d breaks offset order",
-				ErrBadModelFormat, e)
-		}
-		prev = off
-	}
-	// Entries verified sorted: FinalizeLayout only allocates the (heap-side)
-	// group index and never moves them.
-	g.FinalizeLayout()
 	return m, nil
 }

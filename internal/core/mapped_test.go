@@ -113,7 +113,7 @@ func TestModelFromMappingBitIdenticalAndZeroCopy(t *testing.T) {
 // job: the mapper must say ErrNotMappable, not misparse.
 func TestModelFromMappingRejectsOldVersions(t *testing.T) {
 	m, _ := fittedModel(t, 11)
-	m.Core.groupOff = nil
+	m.Core.finalized = false
 	var buf bytes.Buffer
 	if err := writeModelV1(m, &buf); err != nil {
 		t.Fatal(err)

@@ -19,6 +19,15 @@ type IterStats struct {
 	// Elapsed is the wall-clock duration of the iteration (factor updates +
 	// error computation + truncation, i.e. lines 3-6 of Algorithm 2).
 	Elapsed time.Duration
+	// RowUpdate is the part of Elapsed spent in the row-wise factor updates
+	// of all N modes (Algorithm 3, including the P-Tucker-Cache rescale).
+	// A P-Tucker-Approx fit's last RowUpdate and Elapsed include its
+	// finalize refit, which Config.OnIteration does not see.
+	// Like ErrorPass it is a fit-time diagnostic: model files do not
+	// persist it, so it reads back as zero.
+	RowUpdate time.Duration
+	// ErrorPass is the part of Elapsed spent measuring Error (Eq. 5).
+	ErrorPass time.Duration
 	// CoreNNZ is |G| at the moment Error was measured: after this
 	// iteration's factor updates and before its truncation. Error and
 	// CoreNNZ therefore always describe the same model state; under
@@ -42,8 +51,10 @@ type Model struct {
 	// Converged reports whether the relative-error stopping rule fired
 	// before MaxIters.
 	Converged bool
-	// TrainError is the final reconstruction error (Eq. 5) on the training
-	// entries.
+	// TrainError is the reconstruction error (Eq. 5) of the returned model
+	// on the training entries: the last iteration's Error for dense fits,
+	// which the QR finalization leaves unchanged, and re-measured after
+	// finalization when the core was truncated or pruned.
 	TrainError float64
 	// IntermediateBytes is the analytic intermediate-data requirement of the
 	// run in bytes (Definition 7): per-thread workspaces O(T·J²) for
@@ -70,74 +81,51 @@ func (m *Model) Order() int { return len(m.Factors) }
 // Σ_β Gβ ∏_n A(n)[in][jn]. This is how missing entries are estimated —
 // never as zeros.
 func (m *Model) Predict(idx []int) float64 {
-	n := len(m.Factors)
-	rows := make([][]float64, n)
-	for k := 0; k < n; k++ {
-		rows[k] = m.Factors[k].Row(idx[k])
-	}
-	return predictWithRows(m.Core, rows)
+	s := newKernelScratch(m.Core)
+	s.load(m.Factors, idx)
+	return s.predict(m.Core)
 }
 
-// predictWithRows evaluates Eq. (4) given pre-fetched factor rows for each
-// mode; it is the shared inner kernel of prediction, error measurement and
-// truncation scoring. A finalized core takes the grouped path; an
-// unfinalized one (mid-fit, or loaded from a pre-v3 model file) keeps the
-// flat scan, bit-identical to the historical kernel.
-func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
-	if g.groupOff != nil {
-		return predictGrouped(g, rows)
-	}
-	n := len(rows)
-	var sum float64
-	gi := g.idx
-	for e, gv := range g.val {
-		prod := gv
-		base := e * n
-		for k := 0; k < n; k++ {
-			prod *= rows[k][gi[base+k]]
-		}
-		sum += prod
-	}
-	return sum
+// kernelScratch is one goroutine's working memory for the core
+// contraction: the factor-row views, the contraction output (one slot per
+// coordinate of the largest core mode), and the tree's level sums.
+type kernelScratch struct {
+	rows [][]float64
+	out  []float64
+	buf  []float64
 }
 
-// predictGrouped is predictWithRows over the finalized mode-sorted layout:
-// entries are iterated group-by-group over the last-mode coordinate, the
-// last-mode factor value is hoisted out of the inner product (one multiply
-// per group instead of per entry), and groups whose hoisted factor value is
-// zero are skipped entirely. The per-group partial sums reassociate the
-// float64 addition relative to the flat scan — same mathematical value,
-// possibly different final ulps — but the association is a pure function of
-// the layout, so a sparse core and a densified clone of it (both finalized)
-// answer bit-identically.
-func predictGrouped(g *CoreTensor, rows [][]float64) float64 {
-	n := len(rows)
-	last := n - 1
-	rlast := rows[last]
-	off := g.groupOff
-	gi, gv := g.idx, g.val
-	var sum float64
-	for j := 0; j+1 < len(off); j++ {
-		s, e := off[j], off[j+1]
-		if s == e {
-			continue
-		}
-		rj := rlast[j]
-		if rj == 0 {
-			continue
-		}
-		var gs float64
-		for t := s; t < e; t++ {
-			p := gv[t]
-			base := t * n
-			for k := 0; k < last; k++ {
-				p *= rows[k][gi[base+k]]
-			}
-			gs += p
-		}
-		sum += gs * rj
+func newKernelScratch(g *CoreTensor) *kernelScratch {
+	maxJ := 0
+	for _, j := range g.dims {
+		maxJ = max(maxJ, j)
 	}
-	return sum
+	mem := make([]float64, maxJ+g.NNZ())
+	return &kernelScratch{rows: make([][]float64, len(g.dims)), out: mem[:maxJ], buf: mem[maxJ:]}
+}
+
+// scratchPerThread returns one kernelScratch per worker thread.
+func scratchPerThread(g *CoreTensor, threads int) []*kernelScratch {
+	s := make([]*kernelScratch, threads)
+	for t := range s {
+		s[t] = newKernelScratch(g)
+	}
+	return s
+}
+
+// load points s.rows at the factor rows of multi-index idx and returns them.
+func (s *kernelScratch) load(factors []*mat.Dense, idx []int) [][]float64 {
+	for k, a := range factors {
+		s.rows[k] = a.Row(idx[k])
+	}
+	return s.rows
+}
+
+// predict evaluates Eq. (4) at the factor rows in s.rows. Model.Predict,
+// Predictor, the fit's error pass, and core refinement all answer through
+// it, so they agree bit for bit on equal inputs.
+func (s *kernelScratch) predict(g *CoreTensor) float64 {
+	return g.predict(s.rows, s.out[:g.dims[len(g.dims)-1]], s.buf)
 }
 
 // ReconstructionError computes Eq. (5) over the observed entries of x, in
@@ -147,25 +135,15 @@ func (m *Model) ReconstructionError(x *tensor.Coord) float64 {
 }
 
 func reconstructionError(x *tensor.Coord, factors []*mat.Dense, g *CoreTensor, threads int) float64 {
-	n := x.Order()
 	nnz := x.NNZ()
 	if nnz == 0 {
 		return 0
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	rowsBuf := make([][][]float64, threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
-	ss := parallelSum(threads, nnz, func(tid, e int) float64 {
-		rows := rowsBuf[tid]
-		idx := x.Index(e)
-		for k := 0; k < n; k++ {
-			rows[k] = factors[k].Row(idx[k])
-		}
-		r := x.Value(e) - predictWithRows(g, rows)
+	scratch := scratchPerThread(g, max(threads, 1))
+	ss := parallelSum(len(scratch), nnz, func(tid, e int) float64 {
+		s := scratch[tid]
+		s.load(factors, x.Index(e))
+		r := x.Value(e) - s.predict(g)
 		return r * r
 	})
 	return math.Sqrt(ss)
@@ -199,11 +177,7 @@ func (m *Model) TimePerIteration() time.Duration {
 	if len(m.Trace) == 0 {
 		return 0
 	}
-	var total time.Duration
-	for _, it := range m.Trace {
-		total += it.Elapsed
-	}
-	return total / time.Duration(len(m.Trace))
+	return m.TotalTime() / time.Duration(len(m.Trace))
 }
 
 // TotalTime returns the summed duration of all iterations.

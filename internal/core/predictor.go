@@ -19,14 +19,19 @@ var ErrBadIndex = errors.New("core: invalid prediction index")
 // that reconstructs tensor cells by Eq. (4), safe for concurrent use by any
 // number of goroutines.
 //
-// NewPredictor deep-copies the model's factors and core, so the predictor's
+// NewPredictor deep-copies the model's factors and core (the core's
+// immutable contraction trees are shared, not rebuilt), so the predictor's
 // answers cannot change under a caller's feet even if the source Model is
-// mutated afterwards. Per-call scratch (the factor-row view buffer) comes
-// from a sync.Pool, so steady-state Predict does not allocate; PredictBatch
-// fans a batch out across worker goroutines for throughput.
+// mutated afterwards. Per-call scratch (the factor-row views and the tree's
+// level sums, see kernelScratch) comes from a sync.Pool, so steady-state
+// Predict does not allocate; PredictBatch fans a batch out across worker
+// goroutines for throughput.
 //
-// Predictions are bit-identical to Model.Predict on the same model: both run
-// the same kernel over identical float64 values in identical order.
+// Each prediction contracts the core's tree rooted at the last mode with
+// the other modes' factor rows and dots the result with the last mode's row
+// (see CoreTensor.predict). Predictions are bit-identical to Model.Predict
+// on the same model: both run that kernel over identical float64 values in
+// identical order.
 type Predictor struct {
 	factors []*mat.Dense
 	core    *CoreTensor
@@ -35,32 +40,15 @@ type Predictor struct {
 	pool    *sync.Pool
 }
 
-// predictScratch is the per-call workspace: one factor-row pointer per mode.
-type predictScratch struct {
-	rows [][]float64
-}
-
 // NewPredictor builds a concurrent-safe predictor from a fitted model,
 // snapshotting its factors and core. Batch prediction uses up to
 // runtime.GOMAXPROCS(0) workers; see WithWorkers to override.
 func NewPredictor(m *Model) *Predictor {
-	order := len(m.Factors)
-	factors := make([]*mat.Dense, order)
-	dims := make([]int, order)
+	factors := make([]*mat.Dense, len(m.Factors))
 	for k, a := range m.Factors {
 		factors[k] = a.Clone()
-		dims[k] = a.Rows()
 	}
-	p := &Predictor{
-		factors: factors,
-		core:    m.Core.Clone(),
-		dims:    dims,
-		workers: runtime.GOMAXPROCS(0),
-	}
-	p.pool = &sync.Pool{New: func() interface{} {
-		return &predictScratch{rows: make([][]float64, order)}
-	}}
-	return p
+	return NewPredictorShared(&Model{Factors: factors, Core: m.Core.Clone()})
 }
 
 // NewPredictorShared builds a predictor that aliases the model's factors and
@@ -72,6 +60,10 @@ func NewPredictor(m *Model) *Predictor {
 // serve layer satisfies this by construction: online fitting always resumes
 // from a clone (ResumeFitter, Fitter.Snapshot), never the served model.
 // Predictions are bit-identical to NewPredictor on the same model.
+// The kernel's CSF trees are not zero-copy: each root mode used (the last
+// for Predict, one per free mode Recommend serves) lazily builds one on the
+// Go heap, under (8+8N)·|G| bytes for an order-N core (values plus int32
+// ids and offsets), which mapped-byte accounting does not count.
 func NewPredictorShared(m *Model) *Predictor {
 	order := len(m.Factors)
 	factors := make([]*mat.Dense, order)
@@ -80,16 +72,13 @@ func NewPredictorShared(m *Model) *Predictor {
 		factors[k] = a
 		dims[k] = a.Rows()
 	}
-	p := &Predictor{
+	return &Predictor{
 		factors: factors,
 		core:    m.Core,
 		dims:    dims,
 		workers: runtime.GOMAXPROCS(0),
+		pool:    &sync.Pool{New: func() interface{} { return newKernelScratch(m.Core) }},
 	}
-	p.pool = &sync.Pool{New: func() interface{} {
-		return &predictScratch{rows: make([][]float64, order)}
-	}}
-	return p
 }
 
 // WithWorkers returns a predictor that uses n workers for PredictBatch
@@ -126,23 +115,16 @@ func (p *Predictor) ValidateIndex(idx []int) error {
 	return nil
 }
 
-// checkIndex panics with a descriptive message on a malformed multi-index;
-// in-process callers get the precise coordinate instead of a bare
-// slice-bounds panic from deep inside the kernel. Network-facing callers
-// should use PredictChecked / ValidateIndex instead.
-func (p *Predictor) checkIndex(idx []int) {
-	if err := p.ValidateIndex(idx); err != nil {
+// Predict reconstructs the value at multi-index idx by Eq. (4). It is safe
+// for concurrent use and does not allocate in steady state. A malformed
+// index panics with the precise coordinate instead of a bare slice-bounds
+// panic from deep inside the kernel; network-facing callers should use
+// PredictChecked instead.
+func (p *Predictor) Predict(idx []int) float64 {
+	v, err := p.PredictChecked(idx)
+	if err != nil {
 		panic(err.Error())
 	}
-}
-
-// Predict reconstructs the value at multi-index idx by Eq. (4). It is safe
-// for concurrent use and does not allocate in steady state.
-func (p *Predictor) Predict(idx []int) float64 {
-	p.checkIndex(idx)
-	s := p.pool.Get().(*predictScratch)
-	v := p.predictInto(s, idx)
-	p.pool.Put(s)
 	return v
 }
 
@@ -153,18 +135,15 @@ func (p *Predictor) PredictChecked(idx []int) (float64, error) {
 	if err := p.ValidateIndex(idx); err != nil {
 		return 0, err
 	}
-	s := p.pool.Get().(*predictScratch)
+	s := p.pool.Get().(*kernelScratch)
 	v := p.predictInto(s, idx)
 	p.pool.Put(s)
 	return v, nil
 }
 
-func (p *Predictor) predictInto(s *predictScratch, idx []int) float64 {
-	rows := s.rows
-	for k, a := range p.factors {
-		rows[k] = a.Row(idx[k])
-	}
-	return predictWithRows(p.core, rows)
+func (p *Predictor) predictInto(s *kernelScratch, idx []int) float64 {
+	s.load(p.factors, idx)
+	return s.predict(p.core)
 }
 
 // minBatchParallel is the batch size below which the goroutine fan-out costs
@@ -176,12 +155,13 @@ const minBatchParallel = 64
 // predictor's workers (static split: per-item cost is uniform, unlike the
 // skewed row updates of fitting); each worker reuses one pooled scratch for
 // its whole share. Safe for concurrent use alongside Predict and other
-// PredictBatch calls.
+// PredictBatch calls. A malformed index panics, as in Predict.
 func (p *Predictor) PredictBatch(idxs [][]int) []float64 {
-	for _, idx := range idxs {
-		p.checkIndex(idx)
+	out, err := p.PredictBatchChecked(idxs)
+	if err != nil {
+		panic(err.Error())
 	}
-	return p.predictBatch(idxs)
+	return out
 }
 
 // PredictBatchChecked is PredictBatch for untrusted input: every index is
@@ -212,7 +192,7 @@ func (p *Predictor) predictBatch(idxs [][]int) []float64 {
 		workers = n
 	}
 	if workers <= 1 || n < minBatchParallel {
-		s := p.pool.Get().(*predictScratch)
+		s := p.pool.Get().(*kernelScratch)
 		for i, idx := range idxs {
 			out[i] = p.predictInto(s, idx)
 		}
@@ -220,9 +200,9 @@ func (p *Predictor) predictBatch(idxs [][]int) []float64 {
 		return out
 	}
 
-	scratches := make([]*predictScratch, workers)
+	scratches := make([]*kernelScratch, workers)
 	for t := range scratches {
-		scratches[t] = p.pool.Get().(*predictScratch)
+		scratches[t] = p.pool.Get().(*kernelScratch)
 	}
 	runIndexed(workers, ScheduleStatic, 1, n, func(tid, i int) {
 		out[i] = p.predictInto(scratches[tid], idxs[i])

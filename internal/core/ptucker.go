@@ -33,7 +33,8 @@ func Decompose(x *tensor.Coord, cfg Config) (*Model, error) {
 // (Eq. 5); for P-Tucker-Approx, truncate noisy core entries (Algorithm 4);
 // stop on convergence or MaxIters; finally orthogonalize the factors by QR
 // and rotate the core by the R factors (Eqs. 7-8), which leaves the
-// reconstruction error unchanged.
+// reconstruction error unchanged. P-Tucker-Approx adds one row-update sweep
+// before the QR step (see PTuckerApprox).
 //
 // Cancellation is checked before each iteration and between the per-mode
 // factor updates inside one, so a cancelled fit stops within one iteration
@@ -67,7 +68,7 @@ func decompose(ctx context.Context, x *tensor.Coord, cfg Config) (*Model, *state
 	if err := st.sweep(ctx, model); err != nil {
 		return nil, nil, err
 	}
-	if err := st.finish(model); err != nil {
+	if err := st.finish(ctx, model); err != nil {
 		return nil, nil, err
 	}
 	return model, st, nil
@@ -143,6 +144,7 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 		// to Σ_n I_n — the quantity the Figure 10 balance report needs —
 		// rather than only the last mode's rows.
 		work := make([]int64, cfg.Threads)
+		rowStart := time.Now()
 		for mode := 0; mode < n; mode++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -151,6 +153,7 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 				work[t] += c
 			}
 		}
+		rowUpdate := time.Since(rowStart)
 
 		// Extension (off by default): element-wise core refinement.
 		if cfg.UpdateCore {
@@ -161,7 +164,9 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 		}
 
 		// Line 4: reconstruction error by Eq. (5).
+		errStart := time.Now()
 		errNow := reconstructionError(x, st.factors, st.core, cfg.Threads)
+		errorPass := time.Since(errStart)
 		// |G| is captured at the same instant as Error — after the factor
 		// updates, before this iteration's truncation — so an IterStats
 		// always pairs an error with the core that produced it.
@@ -176,10 +181,12 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 		}
 
 		stats := IterStats{
-			Iter:    iter,
-			Error:   errNow,
-			Elapsed: time.Since(start),
-			CoreNNZ: coreNNZ,
+			Iter:      iter,
+			Error:     errNow,
+			Elapsed:   time.Since(start),
+			RowUpdate: rowUpdate,
+			ErrorPass: errorPass,
+			CoreNNZ:   coreNNZ,
 		}
 		model.Trace = append(model.Trace, stats)
 		model.WorkPerThread = work
@@ -214,14 +221,32 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 // finish is the finalize phase (Algorithm 2 lines 8-11): record the truncated
 // |G|, orthogonalize the factors by QR and rotate the core by the R factors
 // (Eqs. 7-8), optionally prune the core under the Sparsify budget, and
-// finalize the core's mode-sorted serving layout. Truncated fits
+// finalize the core's canonical entry order. Truncated fits
 // (P-Tucker-Approx) rotate sparsely, so the core keeps its truncated |G|
 // through finalization instead of being re-densified.
-func (st *state) finish(model *Model) error {
+//
+// A P-Tucker-Approx sweep ends on a truncation, so the factors first get one
+// more row-wise update against the truncated core (see PTuckerApprox);
+// otherwise the returned model pairs factors fitted to the untruncated core
+// with the truncated one. ctx is checked between its modes, as in the sweep.
+func (st *state) finish(ctx context.Context, model *Model) error {
+	approx := st.cfg.Method == PTuckerApprox
+	if approx {
+		start := time.Now()
+		for mode := 0; mode < st.x.Order(); mode++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st.updateFactor(mode)
+		}
+		last, d := &model.Trace[len(model.Trace)-1], time.Since(start)
+		last.RowUpdate += d
+		last.Elapsed += d
+	}
 	// |G| after the last truncation, recorded before finalize's rotation.
 	model.FinalCoreNNZ = st.core.NNZ()
 	model.IntermediateBytes = st.intermediateBytes()
-	if err := finalize(st.factors, st.core, st.cfg.Method == PTuckerApprox); err != nil {
+	if err := finalize(st.factors, st.core, approx); err != nil {
 		return fmt.Errorf("core: orthogonalization failed: %w", err)
 	}
 	// The rotation stales the memoized Pres products (they embed the old
@@ -229,8 +254,16 @@ func (st *state) finish(model *Model) error {
 	// scoring below, a warm Refit — rebuilds or bypasses it.
 	st.cache = nil
 	st.cacheW = 0
-	st.sparsifyCore(model)
+	pruned := st.sparsifyCore()
 	st.core.FinalizeLayout()
+	// A truncated core (the last truncation and the refit above follow the
+	// last error pass, and the sparse rotation re-truncates) or a pruned one
+	// no longer matches the error the sweep measured; keep the summary
+	// describing the returned model. Dense fits rotate exactly, so their
+	// sweep error stands.
+	if approx || pruned {
+		model.TrainError = reconstructionError(st.x, st.factors, st.core, st.cfg.Threads)
+	}
 	return nil
 }
 
@@ -301,22 +334,21 @@ func (st *state) intermediateBytes() int64 {
 	return total
 }
 
-// workspace is the per-thread scratch of the row update: the δ vector, the
-// normal matrix B, the right-hand side c, and a buffer of factor-row
-// pointers. Its size is what gives P-Tucker its O(T·J²) memory bound.
+// workspace is the per-thread scratch of the row update: the contraction
+// scratch (its out slice holds δ), the normal matrix B, and the right-hand
+// side c. Its size is what gives P-Tucker its O(T·J²) memory bound, plus one
+// |G|-slot buffer for the tree's level sums.
 type workspace struct {
-	delta []float64
-	b     *mat.Dense
-	c     []float64
-	rows  [][]float64
+	kernelScratch
+	b *mat.Dense
+	c []float64
 }
 
-func newWorkspace(order, maxJ int) *workspace {
+func newWorkspace(g *CoreTensor, maxJ int) *workspace {
 	return &workspace{
-		delta: make([]float64, maxJ),
-		b:     mat.NewDense(maxJ, maxJ),
-		c:     make([]float64, maxJ),
-		rows:  make([][]float64, order),
+		kernelScratch: *newKernelScratch(g),
+		b:             mat.NewDense(maxJ, maxJ),
+		c:             make([]float64, maxJ),
 	}
 }
 
@@ -326,7 +358,6 @@ func newWorkspace(order, maxJ int) *workspace {
 func (st *state) updateFactor(mode int) []int64 {
 	a := st.factors[mode]
 	jn := st.cfg.Ranks[mode]
-	n := st.x.Order()
 	threads := st.cfg.Threads
 
 	var oldA *mat.Dense
@@ -336,7 +367,7 @@ func (st *state) updateFactor(mode int) []int64 {
 
 	ws := make([]*workspace, threads)
 	for t := range ws {
-		ws[t] = newWorkspace(n, jn)
+		ws[t] = newWorkspace(st.core, jn)
 	}
 
 	counts := runIndexed(threads, st.cfg.Scheduling, st.cfg.ChunkSize, a.Rows(), func(tid, in int) {
@@ -370,18 +401,14 @@ func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *work
 		if st.keepEmptyRows {
 			return
 		}
-		for j := range row {
-			row[j] = 0
-		}
+		clear(row)
 		return
 	}
 
 	b := w.b
 	b.Zero()
 	c := w.c[:jn]
-	for j := range c {
-		c[j] = 0
-	}
+	clear(c)
 
 	// Sampling extension (Config.SampleRate): fit the row to a deterministic
 	// stride subsample of its observations. The subsampled normal equations
@@ -450,17 +477,11 @@ func (st *state) updateCore() {
 
 	// Residuals r(α) = Xα - prediction(α).
 	resid := make([]float64, nnz)
-	rowsBuf := make([][][]float64, threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
+	scratch := scratchPerThread(g, threads)
 	runIndexed(threads, ScheduleStatic, 1, nnz, func(tid, e int) {
-		rows := rowsBuf[tid]
-		idx := x.Index(e)
-		for k := 0; k < n; k++ {
-			rows[k] = st.factors[k].Row(idx[k])
-		}
-		resid[e] = x.Value(e) - predictWithRows(g, rows)
+		s := scratch[tid]
+		s.load(st.factors, x.Index(e))
+		resid[e] = x.Value(e) - s.predict(g)
 	})
 
 	weights := make([]float64, nnz) // wβ(α) for the current β

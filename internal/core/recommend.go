@@ -12,16 +12,17 @@ import (
 // (user, time), rank all movies), it returns the K free-mode indices with the
 // highest predicted values.
 //
-// Scoring every candidate with Predict would cost O(I·|G|·N) per query. The
-// recommender instead contracts the core with the fixed factor rows once —
-// w[j] = Σ_{β: β_m=j} Gβ · ∏_{k≠m} A(k)[i_k][β_k], an O(|G|·N) pass — after
-// which every candidate's score is the dot product A(m)[i]·w, an O(I·J)
-// dense sweep feeding a bounded min-heap. Mathematically each score equals
-// Predict on the same cell; numerically the contraction reassociates the
-// float64 sum (grouping core entries by their free-mode coordinate), so a
-// score can differ from Predict by rounding in the last few ulps. The
-// ranking itself is deterministic: equal queries on equal snapshots always
-// return the identical ordering.
+// Scoring every candidate with Predict would cost O(I·|G|) per query. The
+// recommender instead contracts the core's tree rooted at the free mode with
+// the fixed factor rows once — w[j] = Σ_{β: β_m=j} Gβ · ∏_{k≠m}
+// A(k)[i_k][β_k], about |G| multiplies — after which every candidate's score
+// is the dot product A(m)[i]·w, an O(I·J) dense sweep feeding a bounded
+// min-heap. Mathematically each score equals Predict on the same cell; when
+// the free mode is the last mode it is the same float64 computation, and
+// otherwise the tree's summation order differs from Predict's, so a score
+// can differ from Predict by rounding in the last few ulps. The ranking
+// itself is deterministic: equal queries on equal snapshots always return
+// the identical ordering.
 //
 // A Recommender shares the Predictor's immutable factor and core snapshots,
 // so deriving one is free and it is safe for concurrent use.
@@ -123,64 +124,21 @@ func (r *Recommender) TopKExcluding(query []int, freeMode, k int, exclude []int)
 }
 
 // contract folds the core with the fixed factor rows, producing the weight
-// vector w of length J_free with w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k].
-// On a finalized core with a free mode other than the last, the sweep runs
-// group-by-group over the last-mode coordinate, hoisting that mode's fixed
-// factor value out of the inner product and skipping zero-valued groups —
-// the same layout win as the grouped predict kernel. When the free mode IS
-// the grouping mode the flat scan already visits each w[j]'s entries
-// contiguously, so it is kept as is.
+// vector w of length J_free with w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k]:
+// the core's tree rooted at the free mode, contracted with the same kernel
+// as δ and prediction (see coreTree.contract). Scratch comes from the
+// predictor's pool.
 func (r *Recommender) contract(query []int, freeMode int) []float64 {
 	p := r.p
-	n := len(p.dims)
-	g := p.core
-	rows := make([][]float64, n)
-	for m := 0; m < n; m++ {
+	s := p.pool.Get().(*kernelScratch)
+	for m, a := range p.factors {
 		if m != freeMode {
-			rows[m] = p.factors[m].Row(query[m])
+			s.rows[m] = a.Row(query[m])
 		}
 	}
-	w := make([]float64, p.factors[freeMode].Cols())
-	gi, gv := g.idx, g.val
-
-	last := n - 1
-	if off := g.groupOff; off != nil && freeMode != last {
-		rlast := rows[last]
-		for j := 0; j+1 < len(off); j++ {
-			s, e := off[j], off[j+1]
-			if s == e {
-				continue
-			}
-			rj := rlast[j]
-			if rj == 0 {
-				continue
-			}
-			for t := s; t < e; t++ {
-				base := t * n
-				prod := gv[t]
-				for m := 0; m < last; m++ {
-					if m == freeMode {
-						continue
-					}
-					prod *= rows[m][gi[base+m]]
-				}
-				w[gi[base+freeMode]] += prod * rj
-			}
-		}
-		return w
-	}
-
-	for e, v := range gv {
-		base := e * n
-		prod := v
-		for m := 0; m < n; m++ {
-			if m == freeMode {
-				continue
-			}
-			prod *= rows[m][gi[base+m]]
-		}
-		w[gi[base+freeMode]] += prod
-	}
+	w := make([]float64, p.core.dims[freeMode])
+	p.core.tree(freeMode).contract(s.rows, w, s.buf)
+	p.pool.Put(s)
 	return w
 }
 

@@ -33,11 +33,10 @@ import (
 //   - v2: appended FinalCoreNNZ to the summary (v1 defaults it to 0).
 //   - v3: appended Config.Sparsify to the config block, and prefixed the
 //     core record with a flags byte (bit 0: the entry list is in the
-//     finalized mode-sorted layout — strictly increasing little-endian
-//     offsets — which the reader verifies and rebuilds the group index
-//     from). Dense cores carry the same dims/nnz/entries encoding as
-//     before, so a v2-era dense core round-trips bit-identically through
-//     the v3 record.
+//     finalized layout — strictly increasing little-endian offsets — which
+//     the reader verifies). Dense cores carry the same dims/nnz/entries
+//     encoding as before, so a v2-era dense core round-trips
+//     bit-identically through the v3 record.
 //   - v4: the mmap layout. The three bulk blocks — each factor's row-major
 //     float64 data, the core index list, and the core value list — are
 //     preceded by zero padding to an 8-byte stream offset, and core indices
@@ -78,7 +77,7 @@ const (
 	readChunk = 1 << 14
 
 	// coreFlagFinalized marks a v3 core record whose entry list is in the
-	// finalized mode-sorted layout.
+	// finalized (offset-sorted) layout.
 	coreFlagFinalized = 1 << 0
 )
 
@@ -340,7 +339,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 
 	// Core tensor: flags (v3), dims, then the live entry list. A finalized
 	// core's entries are already offset-sorted; the flag lets the reader
-	// verify that and rebuild the group index without re-sorting. v4 stores
+	// verify that instead of re-sorting (a mapped core cannot be). v4 stores
 	// indices as int64 in one aligned block (the value block that follows is
 	// a whole number of 8-byte words, so one pad aligns both).
 	g := m.Core
@@ -538,42 +537,51 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrModelChecksum, sum, want)
 	}
 
-	// Structural sanity: everything prediction dereferences must be in
-	// range, so a corrupt-but-checksummed (or crafted) file fails here at
-	// load time instead of panicking inside the serve-path kernel. Factor k
-	// must have exactly dims[k] columns, and every core entry index must
-	// address a valid column.
-	for k, a := range factors {
+	if err := checkDecoded(m, coreFlags&coreFlagFinalized != 0); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// checkDecoded is the structural sanity both model readers enforce:
+// everything the contraction kernels dereference must be in range, so a
+// corrupt-but-checksummed (or crafted) file fails at load time instead of
+// panicking inside the serve-path kernel. Factor k must have exactly dims[k]
+// columns and every core entry index must address a valid column. A core
+// flagged finalized must really be in strictly increasing offset order —
+// verified, not trusted, since a re-save would persist the lie — and is
+// then marked finalized.
+func checkDecoded(m *Model, finalized bool) error {
+	g := m.Core
+	for k, a := range m.Factors {
 		if a.Cols() != g.dims[k] {
-			return nil, fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
+			return fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
 				ErrBadModelFormat, k, a.Cols(), g.dims[k])
 		}
 	}
-	for e := 0; e < nnz; e++ {
-		for k := 0; k < order; k++ {
-			if i := g.idx[e*order+k]; i < 0 || i >= g.dims[k] {
-				return nil, fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
+	for e := range g.val {
+		for k, i := range g.Index(e) {
+			if i < 0 || i >= g.dims[k] {
+				return fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
 					ErrBadModelFormat, e, k, i, g.dims[k])
 			}
 		}
 	}
-	if coreFlags&coreFlagFinalized != 0 {
-		// The flag claims the entry list is already in finalized order;
-		// verify rather than trust, then rebuild the group index. A lying
-		// flag would otherwise desync the grouped kernels from the data.
-		st := g.strides()
-		prev := -1
-		for e := 0; e < nnz; e++ {
-			off := g.entryOffset(e, st)
-			if off <= prev {
-				return nil, fmt.Errorf("%w: core flagged finalized but entry %d breaks offset order",
-					ErrBadModelFormat, e)
-			}
-			prev = off
-		}
-		g.FinalizeLayout()
+	if !finalized {
+		return nil
 	}
-	return m, nil
+	st := g.strides()
+	prev := -1
+	for e := range g.val {
+		off := g.entryOffset(e, st)
+		if off <= prev {
+			return fmt.Errorf("%w: core flagged finalized but entry %d breaks offset order",
+				ErrBadModelFormat, e)
+		}
+		prev = off
+	}
+	g.finalized = true
+	return nil
 }
 
 // SaveModel writes the model to path atomically: it serializes into a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mat"
@@ -13,12 +14,14 @@ import (
 // layout, the sparse QR rotation, and VeST-style post-fit pruning
 // (Config.Sparsify).
 
-// TestFinalizeLayoutGroupsAndSorts pins the canonical layout: entries sorted
-// by little-endian linear offset, grouped contiguously by the last-mode
-// coordinate, with a counting-sort offset table over it.
+// TestFinalizeLayoutGroupsAndSorts pins the canonical layout: FinalizeLayout
+// sorts entries by little-endian linear offset, and the contraction tree
+// rooted at the last mode groups them level by level — the offset-sorted
+// list with shared prefixes merged, its first level being the old
+// per-last-mode groups. Another root re-sorts by its own coordinate first.
 func TestFinalizeLayoutGroupsAndSorts(t *testing.T) {
-	// Entries deliberately out of offset order, with one last-mode group (j=1)
-	// empty.
+	// Entries deliberately out of offset order, with last-mode coordinate 1
+	// unused.
 	g := &CoreTensor{
 		dims: []int{3, 2, 3},
 		idx: []int{
@@ -42,26 +45,32 @@ func TestFinalizeLayoutGroupsAndSorts(t *testing.T) {
 		}
 		prev = off
 	}
-	off := g.GroupOffsets()
-	if want := g.dims[len(g.dims)-1] + 1; len(off) != want {
-		t.Fatalf("group offsets length %d want %d", len(off), want)
-	}
-	n := g.Order()
-	last := n - 1
-	for j := 0; j+1 < len(off); j++ {
-		for e := off[j]; e < off[j+1]; e++ {
-			if got := g.Index(e)[last]; got != j {
-				t.Fatalf("entry %d in group %d has last-mode coordinate %d", e, j, got)
-			}
-		}
-	}
-	if off[0] != 0 || off[len(off)-1] != g.NNZ() {
-		t.Fatalf("group offsets %v do not cover [0,%d)", off, g.NNZ())
-	}
 	// Values followed their entries: offset order here is 1 (origin), 2, 3, 4.
 	for e, want := range []float64{1, 2, 3, 4} {
 		if g.Value(e) != want {
 			t.Fatalf("entry %d value %v want %v (layout moved values and indices inconsistently)", e, g.Value(e), want)
+		}
+	}
+
+	want := map[int]*coreTree{
+		// Paths (i2, i1, i0): (0,0,0)=1 (0,1,0)=2 (2,0,1)=3 (2,1,2)=4.
+		2: {
+			modes: []int{2, 1, 0},
+			ids:   [][]int32{{0, 2}, {0, 1, 0, 1}, {0, 0, 1, 2}},
+			ptr:   [][]int32{{0, 2, 4}, {0, 1, 2, 3, 4}},
+			val:   []float64{1, 2, 3, 4},
+		},
+		// Paths (i0, i2, i1): (0,0,0)=1 (0,0,1)=2 (1,2,0)=3 (2,2,1)=4.
+		0: {
+			modes: []int{0, 2, 1},
+			ids:   [][]int32{{0, 1, 2}, {0, 2, 2}, {0, 1, 0, 1}},
+			ptr:   [][]int32{{0, 1, 2, 3}, {0, 2, 3, 4}},
+			val:   []float64{1, 2, 3, 4},
+		},
+	}
+	for root, w := range want {
+		if got := g.tree(root); !reflect.DeepEqual(got, w) {
+			t.Fatalf("root %d tree:\n got %+v\nwant %+v", root, got, w)
 		}
 	}
 }
@@ -102,11 +111,39 @@ func TestApproxFinalizeKeepsSparseCore(t *testing.T) {
 	}
 }
 
+// TestApproxTrainErrorDescribesReturnedModel: P-Tucker-Approx truncates
+// after its last error pass and the sparse finalize re-truncates, so the
+// sweep's last Error does not describe the returned model; TrainError must.
+// Plain fits keep the sweep's value, which the exact dense rotation
+// preserves.
+func TestApproxTrainErrorDescribesReturnedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x := plantedTensor(rng, []int{10, 10, 10}, []int{3, 3, 3}, 300, 0.05)
+	for _, method := range []Method{PTuckerApprox, PTucker} {
+		cfg := smallConfig([]int{3, 3, 3})
+		cfg.Method = method
+		cfg.TruncationRate = 0.2
+		cfg.MaxIters = 4
+		m, err := Decompose(x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := m.ReconstructionError(x)
+		if math.Abs(m.TrainError-want) > 1e-9*want {
+			t.Fatalf("%v: TrainError %v, returned model's training error %v", method, m.TrainError, want)
+		}
+		if last := m.Trace[len(m.Trace)-1].Error; method == PTucker && m.TrainError != last {
+			t.Fatalf("plain TrainError %v moved off the last iteration's Error %v", m.TrainError, last)
+		}
+	}
+}
+
 // TestSparsePredictMatchesDensifiedClone pins the bit-identity contract of
-// the grouped kernels: a sparse finalized core and a densified clone of it
-// (zeros materialized, same layout) answer Predict and TopK with the exact
-// same float64 bits — a zero entry's contribution is an FP identity, and the
-// summation association depends only on the layout.
+// the tree kernels: a sparse finalized core and a densified clone of it
+// (zeros materialized) answer Predict and TopK with the exact same float64
+// bits — a zero entry's contribution is an FP identity, and every node sums
+// its children in coordinate order, so the extra zero nodes leave each
+// partial sum unchanged.
 func TestSparsePredictMatchesDensifiedClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dims := []int{12, 9, 7}
@@ -385,7 +422,7 @@ func TestReadModelRejectsLyingFinalizedFlag(t *testing.T) {
 		g.idx[k], g.idx[n+k] = g.idx[n+k], g.idx[k]
 	}
 	g.val[0], g.val[1] = g.val[1], g.val[0]
-	// groupOff still claims finalized; WriteTo writes the flag.
+	// The finalized flag still stands; WriteTo writes it.
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // sparsifyCore is the post-fit VeST-style pruning pass (Config.Sparsify): it
 // ranks live core entries by responsibility and removes the largest prefix of
 // low-responsibility entries whose reconstruction error stays within the
@@ -23,12 +21,12 @@ import "sort"
 // the scores being additive. The error is not strictly monotone in the
 // count — dropping an entry with positive R(β) lowers it — but the probe
 // sequence is deterministic, so equal fits prune identically. At least one
-// entry always survives.
-func (st *state) sparsifyCore(model *Model) {
+// entry always survives. It reports whether any entry was removed.
+func (st *state) sparsifyCore() bool {
 	g := st.core
 	width := g.NNZ()
 	if st.cfg.Sparsify <= 0 || width <= 1 {
-		return
+		return false
 	}
 	scoreSet := st.x
 	if st.cfg.SparsifyHoldout != nil {
@@ -38,26 +36,10 @@ func (st *state) sparsifyCore(model *Model) {
 	base := reconstructionError(scoreSet, st.factors, g, threads)
 	budget := base * (1 + st.cfg.Sparsify)
 
-	r := PartialErrors(st)
-	order := make([]int, width)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := r[order[a]], r[order[b]]
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-
+	order := rankByPartialError(PartialErrors(st))
 	errAt := func(k int) float64 {
-		drop := make([]bool, width)
-		for i := 0; i < k; i++ {
-			drop[order[i]] = true
-		}
 		clone := g.Clone()
-		clone.RemoveEntries(drop)
+		clone.RemoveEntries(dropFirst(order, k))
 		return reconstructionError(scoreSet, st.factors, clone, threads)
 	}
 
@@ -89,14 +71,9 @@ func (st *state) sparsifyCore(model *Model) {
 		}
 	}
 	if best == 0 {
-		return
+		return false
 	}
 
-	drop := make([]bool, width)
-	for i := 0; i < best; i++ {
-		drop[order[i]] = true
-	}
-	g.RemoveEntries(drop)
-	// The served model's training error moved; keep the summary truthful.
-	model.TrainError = reconstructionError(st.x, st.factors, g, threads)
+	g.RemoveEntries(dropFirst(order, best))
+	return true
 }

@@ -20,36 +20,19 @@ import (
 func PartialErrors(st *state) []float64 {
 	x := st.x
 	g := st.core
-	n := x.Order()
-	nnz := x.NNZ()
 	width := g.NNZ()
-	threads := st.cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(st.cfg.Threads, 1)
 
 	acc := make([][]float64, threads)
 	for t := range acc {
 		acc[t] = make([]float64, width)
 	}
-	prodBuf := make([][]float64, threads)
-	for t := range prodBuf {
-		prodBuf[t] = make([]float64, width)
-	}
-	rowsBuf := make([][][]float64, threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
-
-	gi := g.idx
-	gv := g.val
-	runIndexed(threads, ScheduleStatic, 1, nnz, func(tid, alpha int) {
-		rows := rowsBuf[tid]
-		idx := x.Index(alpha)
-		for k := 0; k < n; k++ {
-			rows[k] = st.factors[k].Row(idx[k])
-		}
-		prods := prodBuf[tid]
+	// Each thread's per-entry products live in its scratch's |G|-slot buf.
+	scratch := scratchPerThread(g, threads)
+	runIndexed(threads, ScheduleStatic, 1, x.NNZ(), func(tid, alpha int) {
+		s := scratch[tid]
+		rows := s.load(st.factors, x.Index(alpha))
+		prods := s.buf[:width]
 		var full float64
 		if st.cache != nil {
 			cacheRow := st.cache[alpha*st.cacheW : alpha*st.cacheW+width]
@@ -58,12 +41,8 @@ func PartialErrors(st *state) []float64 {
 				full += p
 			}
 		} else {
-			for e := 0; e < width; e++ {
-				base := e * n
-				p := gv[e]
-				for k := 0; k < n; k++ {
-					p *= rows[k][gi[base+k]]
-				}
+			for e := range prods {
+				p := g.entryProduct(e, -1, rows)
 				prods[e] = p
 				full += p
 			}
@@ -103,12 +82,16 @@ func (st *state) truncateCore() {
 		k = width - 1
 	}
 
-	// Rank entries by R(β) descending (Algorithm 4 line 3), breaking ties
-	// by entry index so the dropped set is a pure function of the R values.
-	// An unstable comparison on ties would let the sort implementation pick
-	// which tied entries die, violating the "equal seeds are bit-for-bit
-	// reproducible" guarantee for P-Tucker-Approx.
-	order := make([]int, width)
+	g.RemoveEntries(dropFirst(rankByPartialError(r), k))
+}
+
+// rankByPartialError returns the entry positions ranked by R(β) descending
+// (Algorithm 4 line 3), ties broken by position so the ranking is a pure
+// function of the R values. An unstable comparison on ties would let the
+// sort implementation pick which tied entries die, violating the "equal
+// seeds are bit-for-bit reproducible" guarantee.
+func rankByPartialError(r []float64) []int {
+	order := make([]int, len(r))
 	for i := range order {
 		order[i] = i
 	}
@@ -119,12 +102,16 @@ func (st *state) truncateCore() {
 		}
 		return order[a] < order[b]
 	})
+	return order
+}
 
-	drop := make([]bool, width)
-	for i := 0; i < k; i++ {
-		drop[order[i]] = true
+// dropFirst marks the first k ranked entries for RemoveEntries.
+func dropFirst(order []int, k int) []bool {
+	drop := make([]bool, len(order))
+	for _, e := range order[:k] {
+		drop[e] = true
 	}
-	g.RemoveEntries(drop)
+	return drop
 }
 
 // NewStateForAnalysis exposes a read-only factorization state over existing
