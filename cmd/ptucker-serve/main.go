@@ -12,10 +12,9 @@
 // observations and folds brand-new indices in as fresh factor rows, and
 // -refit-after N triggers a background warm refit every N observations.
 //
-// Concurrent /v1/predict calls are micro-batched by -shards parallel
-// dispatcher shards (default: scaled from GOMAXPROCS), each coalescing up to
-// -max-batch queued predictions into one batched kernel pass; /metrics
-// reports per-shard flush and occupancy counters.
+// Every /v1/* request is answered on the connection's own goroutine, from
+// JSON decode through the kernel to JSON encode; a single prediction is one
+// kernel call, so predict throughput scales with the HTTP server itself.
 //
 // With -data-dir the process is durable: every accepted observe batch is
 // journaled (fsync policy: -journal-sync) before it is applied, the journal
@@ -30,8 +29,10 @@
 // -auth-token guards the mutating
 // endpoints with a bearer token; -holdout reports held-out RMSE on /metrics
 // across refits. Request bodies are capped at -max-body bytes (413) and each
-// request is bounded by -timeout (503). SIGINT/SIGTERM drain the listener
-// gracefully before exiting.
+// request is bounded by -timeout (503); the same bound, plus the journal
+// long-poll cap, limits how long a slow client may take to send a request
+// and how long an idle keep-alive connection stays open. SIGINT/SIGTERM
+// drain the listener gracefully before exiting.
 //
 // Observability: structured logs go to stderr (-log-format text|json,
 // -log-level debug|info|warn|error); every request carries an
@@ -39,9 +40,8 @@
 // echoed on the response and logged on the access line; -slow-request D
 // escalates requests slower than D to warn level; -pprof mounts
 // net/http/pprof under /debug/pprof/, guarded by -auth-token when set.
-// /metrics exposes per-endpoint latency histograms, coalescer flush
-// histograms, journal fsync/append latency, refit state gauges, and runtime
-// gauges — see the README's Observability section for the full reference.
+// /metrics exposes per-endpoint latency histograms, journal fsync/append
+// latency, refit state gauges, and runtime gauges — see the README's Observability section for the full reference.
 //
 // With -models-dir the process serves many named models at once: every
 // subdirectory holding a model.ptkm becomes a durable tenant (the
@@ -102,8 +102,6 @@ func main() {
 		model       = flag.String("model", "", "saved model file to serve (required)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "PredictBatch worker goroutines (0 = GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max single predictions coalesced into one batch (1 disables)")
-		shards      = flag.Int("shards", 0, "coalescer dispatcher shards, each with its own queue and flush loop (0 = auto from GOMAXPROCS)")
 		refitAfter  = flag.Int("refit-after", 0, "background warm refit after this many /v1/observe observations (0 disables)")
 		sparsify    = flag.Float64("sparsify", 0, "prune refit results' core entries within this relative error budget (0 keeps the model's own setting; checked on -holdout when set)")
 		maxBody     = flag.Int64("max-body", serve.DefaultMaxBody, "max request body bytes on /v1/* (larger bodies get 413; <0 disables)")
@@ -201,8 +199,6 @@ func main() {
 		Follow:       *follow,
 		MaxLag:       *maxLag,
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		Shards:       *shards,
 		RefitAfter:   *refitAfter,
 		Sparsify:     *sparsify,
 		MaxBodyBytes: *maxBody,
@@ -251,7 +247,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler, *timeout)
 
 	// SIGHUP hot-reloads the -model file; the first SIGINT/SIGTERM drains
 	// the listener, a second one kills the process the usual way.
@@ -304,16 +300,43 @@ func main() {
 		source = "models dir " + *modelsDir
 	}
 	logger.Info("serving", "source", source, "addr", *addr,
-		"workers", *workers, "max_batch", *maxBatch, "mmap", *mmapOn, "pprof", *pprofOn)
+		"workers", *workers, "mmap", *mmapOn, "pprof", *pprofOn)
 	err = httpSrv.ListenAndServe()
 	if !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listener failed", "error", err)
 		os.Exit(1)
 	}
 	// ListenAndServe returns the moment Shutdown begins; wait for the drain
-	// to finish, then stop the coalescer — no handler is mid-submit when
-	// queued work is failed with ErrServerClosed.
+	// to finish, so no handler is still running when the server closes its
+	// journal and unmaps its models.
 	<-shutdownDone
 	closeFn()
 	logger.Info("bye")
+}
+
+// newHTTPServer builds the listener with slow-client bounds derived from the
+// per-request timeout (serve.DefaultTimeout when -timeout is 0 or negative:
+// disabling the handling bound does not lift the connection bounds):
+//
+//   - ReadHeaderTimeout = timeout: a client must send its headers in time.
+//   - ReadTimeout = timeout + serve.MaxStreamWait: the whole request, body
+//     included. It must outlast the longest handler too — net/http cancels
+//     a request's context once the connection's read deadline passes, and
+//     the /v1/journal long poll is held open up to MaxStreamWait.
+//   - IdleTimeout = 2 * timeout: how long a keep-alive connection may wait
+//     for its next request.
+//
+// No WriteTimeout is set: it would cut the journal long poll and large
+// bootstrap transfers.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	if timeout <= 0 {
+		timeout = serve.DefaultTimeout
+	}
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: timeout,
+		ReadTimeout:       timeout + serve.MaxStreamWait,
+		IdleTimeout:       2 * timeout,
+	}
 }

@@ -35,7 +35,9 @@ func NewRequestID() string {
 		// entropy source should not take request serving down.
 		return "rand-unavailable"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // CleanRequestID validates a caller-supplied correlation ID: non-empty, at

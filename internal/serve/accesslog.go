@@ -15,48 +15,52 @@ import (
 // X-Ptucker-Request-Id when it is clean, a generated one otherwise — and
 // echoes it on the response, (2) records the request's wall-clock duration
 // in the per-endpoint histogram, (3) emits a Debug access-log line carrying
-// endpoint, method, status, duration, remote address, and (for coalesced
-// predictions) the dispatcher shard, and (4) escalates the line to Warn
-// with the same detail when the request ran past Options.SlowRequest.
+// endpoint, method, status, duration, and remote address, and (4) escalates
+// the line to Warn with the same detail when the request ran past
+// Options.SlowRequest.
 
-// requestMeta is per-request detail the inner handlers fill in and the
-// access-log middleware reads after the handler returns. Fields are atomic
-// because a timed-out handler keeps running on its own goroutine (see
-// withTimeout) and may still be writing when the middleware reads.
-type requestMeta struct {
-	coalesced atomic.Bool
-	shard     atomic.Int64
-}
-
-// metaKey carries a *requestMeta through the request context.
-type metaKey struct{}
-
-// noteCoalesced records that the request was answered through coalescer
-// shard id; a no-op for contexts without instrumentation (direct predict
-// calls in tests and benchmarks).
-func noteCoalesced(ctx context.Context, shard int) {
-	if meta, ok := ctx.Value(metaKey{}).(*requestMeta); ok {
-		meta.shard.Store(int64(shard))
-		meta.coalesced.Store(true)
-	}
-}
-
-// statusWriter captures the response status for the access log.
+// statusWriter is the one wrapper writer a request gets. It captures the
+// response status for the access log and, under withTimeout, enforces the
+// request's deadline at the first write.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
+
+	// deadline is the request's deadline (zero outside withTimeout) and
+	// timeouts the counter of requests it cut off. expired is set when the
+	// deadline had passed at the first write: the writer then answered 503
+	// itself and discards the handler's output.
+	deadline time.Time
+	timeouts *atomic.Int64
+	expired  bool
+}
+
+// begin runs before every header or body write and reports whether the
+// write may go through. The first call records the status — or, past the
+// deadline, answers the JSON 503 in the handler's place.
+func (w *statusWriter) begin(code int) bool {
+	if w.code == 0 {
+		if !w.deadline.IsZero() && !time.Now().Before(w.deadline) {
+			w.expired = true
+			w.code = http.StatusServiceUnavailable
+			w.timeouts.Add(1)
+			writeJSON(w.ResponseWriter, http.StatusServiceUnavailable, errorResponse{Error: "request timed out"})
+			return false
+		}
+		w.code = code
+	}
+	return !w.expired
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
+	if w.begin(code) {
+		w.ResponseWriter.WriteHeader(code)
 	}
-	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
+	if !w.begin(http.StatusOK) {
+		return len(p), nil
 	}
 	return w.ResponseWriter.Write(p)
 }
@@ -72,9 +76,6 @@ func (s *Server) instrument(endpoint string, h http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set(obs.RequestIDHeader, id)
-		meta := &requestMeta{}
-		meta.shard.Store(-1)
-		r = r.WithContext(context.WithValue(r.Context(), metaKey{}, meta))
 		sw := &statusWriter{ResponseWriter: w}
 		h.ServeHTTP(sw, r)
 		d := time.Since(t0)
@@ -100,9 +101,6 @@ func (s *Server) instrument(endpoint string, h http.Handler) http.Handler {
 			"status", status,
 			"duration", d,
 			"remote", r.RemoteAddr,
-		}
-		if meta.coalesced.Load() {
-			args = append(args, "coalesced", true, "shard", meta.shard.Load())
 		}
 		if slow {
 			args = append(args, "slow_threshold", s.slowReq)

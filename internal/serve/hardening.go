@@ -1,22 +1,25 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 )
 
-// withTimeout bounds one request's handling at s.timeout: the handler runs
-// against a buffered ResponseWriter on its own goroutine with a deadlined
-// context; if it finishes in time the buffered response is replayed to the
-// client, otherwise the client gets an immediate JSON 503 and the straggler's
-// output is discarded when it eventually completes. This is
-// http.TimeoutHandler's discipline with a JSON error body and a metrics
-// counter. A timeout of zero disables the wrapper.
+// withTimeout bounds one request's handling at s.timeout without leaving the
+// connection's goroutine: the handler runs inline against a context
+// deadlined at s.timeout, and the request's wrapper writer (statusWriter,
+// see accesslog.go) checks the deadline on its first header or body write —
+// and once more after the handler returns, if it wrote nothing. A request
+// past its deadline is answered with a JSON 503, counted in
+// ptucker_request_timeouts_total, and the handler's own output is discarded.
+// A timeout of zero disables the wrapper.
 //
-// Handlers that honor their request context (the coalesced predict path)
-// stop early; the rest run to completion against the discarded buffer, so a
-// timeout never corrupts server state — it only stops the client's wait.
+// Handlers read the context where they can block (observe waiting on
+// online.mu or staging) and give up early; the rest run to completion, so a
+// timeout never corrupts server state — it only replaces the answer. Because
+// the handler has returned before ServeHTTP does, anything the caller holds
+// for the request (a registry tenant's read lock) covers the handler's whole
+// run.
 func (s *Server) withTimeout(h http.HandlerFunc) http.Handler {
 	if s.timeout <= 0 {
 		return h
@@ -24,65 +27,19 @@ func (s *Server) withTimeout(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
-
-		bw := &bufferedResponse{header: make(http.Header)}
-		done := make(chan struct{})
-		panicked := make(chan interface{}, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panicked <- p
-					return
-				}
-				close(done)
-			}()
-			h(bw, r.WithContext(ctx))
-		}()
-
-		select {
-		case <-done:
-			bw.flushTo(w)
-		case p := <-panicked:
-			panic(p)
-		case <-ctx.Done():
-			s.met.timeouts.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request timed out"})
+		// Under instrument the request already has its wrapper writer; reuse
+		// it so every request pays for one.
+		sw, ok := w.(*statusWriter)
+		if !ok {
+			sw = &statusWriter{ResponseWriter: w}
+		}
+		sw.deadline, _ = ctx.Deadline()
+		sw.timeouts = &s.met.timeouts
+		h(sw, r.WithContext(ctx))
+		if sw.code == 0 {
+			// The handler wrote nothing: the implicit 200 is due now, so it
+			// gets the same deadline check a write would have.
+			sw.begin(http.StatusOK)
 		}
 	})
-}
-
-// bufferedResponse captures a handler's response so it can be replayed —
-// or abandoned — after the timeout race is decided. Only the handler
-// goroutine writes to it; flushTo runs strictly after that goroutine is done.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	w.WriteHeader(b.code)
-	_, _ = w.Write(b.body.Bytes())
 }

@@ -119,7 +119,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.met.errors("observe").Add(1)
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		// The timeout middleware already answered 503; nothing was applied.
+		// Nothing was applied. Past the request deadline this write becomes
+		// the timeout 503; a cancelled request's answer goes nowhere.
 		s.met.errors("observe").Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 	default:

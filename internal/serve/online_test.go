@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +338,75 @@ func TestTimeoutMiddleware(t *testing.T) {
 	fast.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/predict", nil))
 	if rr.Code != http.StatusTeapot || rr.Body.String() != "ok" || rr.Header().Get("X-Fast") != "yes" {
 		t.Fatalf("fast handler response mangled: %d %q", rr.Code, rr.Body.String())
+	}
+}
+
+// TestTimeoutWaitsForHandler: a handler that ignores its context and runs
+// well past the deadline still answers 503, and ServeHTTP returns only once
+// the handler has — so whatever the caller holds for the request (a
+// registry tenant's read lock) covers the handler's whole run.
+func TestTimeoutWaitsForHandler(t *testing.T) {
+	s, _ := testServer(t, Options{Timeout: 20 * time.Millisecond})
+	var finished atomic.Bool
+	h := s.withTimeout(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(100 * time.Millisecond)
+		finished.Store(true)
+		writeJSON(w, http.StatusOK, predictResponse{Value: 1})
+	})
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/predict", nil))
+	if !finished.Load() {
+		t.Fatal("ServeHTTP returned while the handler was still running")
+	}
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", rr.Code)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error != "request timed out" {
+		t.Fatalf("body %q is not the timeout error alone", rr.Body.String())
+	}
+	if got := s.met.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
+	}
+}
+
+// TestObserveTimesOutBehindOnlineMu: an observe that waits on a held
+// online.mu past its deadline answers 503, is counted as a timeout, and
+// applies nothing — a retry must not double-count the batch.
+func TestObserveTimesOutBehindOnlineMu(t *testing.T) {
+	s, ts := testServer(t, Options{Timeout: 50 * time.Millisecond})
+	s.online.mu.Lock()
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/observe", "application/json",
+			strings.NewReader(`{"observations":[{"index":[1,2,3],"value":0.5}]}`))
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- answer{status: resp.StatusCode, body: b}
+	}()
+	time.Sleep(200 * time.Millisecond)
+	s.online.mu.Unlock()
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d (%s), want 503", a.status, a.body)
+	}
+	if got := s.met.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
+	}
+	if got := s.met.observations.Load(); got != 0 {
+		t.Fatalf("%d observations applied by a timed-out request", got)
 	}
 }
 

@@ -159,8 +159,9 @@ func (s *Server) replSample() replSample {
 // --- primary: stream handlers ---
 
 const (
-	// maxStreamWait caps the long-poll window a client may ask for.
-	maxStreamWait = 30 * time.Second
+	// MaxStreamWait caps the long-poll window a client may ask for: the
+	// longest a /v1/journal request is held open.
+	MaxStreamWait = 30 * time.Second
 	// maxStreamChunk bounds one response's frame bytes (the chunk always
 	// includes at least one whole record, however large).
 	maxStreamChunk = 1 << 20
@@ -258,7 +259,7 @@ func (s *Server) handleJournalStream(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, "journal", fmt.Errorf("bad wait %q", v))
 			return
 		}
-		wait = min(d, maxStreamWait)
+		wait = min(d, MaxStreamWait)
 	}
 	want := replicate.Identity{Epoch: epoch, Gen: gen}
 

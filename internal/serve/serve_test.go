@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -345,7 +344,7 @@ func TestConcurrentReloadWhilePredicting(t *testing.T) {
 	if err := core.SaveModel(pathB, mB); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{ModelPath: pathA, MaxBatch: 8})
+	s, err := New(Options{ModelPath: pathA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +460,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`ptucker_requests_total{endpoint="predict"} 2`,
 		`ptucker_errors_total{endpoint="predict"} 1`,
 		`ptucker_predictions_total 1`,
-		"ptucker_coalesced_batches_total",
+		"ptucker_request_timeouts_total 0",
 		"ptucker_reloads_total 0",
 		"ptucker_model_order 3",
 		fmt.Sprintf("ptucker_model_core_nnz %d", s.snapshot().coreNNZ),
@@ -472,21 +471,19 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// The coalescer must deliver correct per-request answers when many distinct
-// predictions race into shared batches.
-func TestCoalescerAnswersMatchUnderLoad(t *testing.T) {
+// Many distinct predictions racing through the handler must each get
+// exactly their own answer, bit-identical to the predictor's, and the
+// counters must add up: every request scored once, every bad index a 400.
+// Run with -race.
+func TestConcurrentPredictsMatchPredictor(t *testing.T) {
 	m := fitModel(t, 7)
-	s, err := New(Options{Model: m, MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, ts := testServer(t, Options{Model: m})
 	p := core.NewPredictor(m)
 	dims := p.Dims()
 	rng := rand.New(rand.NewSource(11))
 
 	type job struct {
-		idx  []int
+		body string
 		want float64
 	}
 	jobs := make([]job, 300)
@@ -495,67 +492,77 @@ func TestCoalescerAnswersMatchUnderLoad(t *testing.T) {
 		for k, d := range dims {
 			idx[k] = rng.Intn(d)
 		}
-		jobs[i] = job{idx, p.Predict(idx)}
+		body, _ := json.Marshal(predictRequest{Index: idx})
+		jobs[i] = job{string(body), p.Predict(idx)}
 	}
 
 	errs := make(chan string, len(jobs))
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(j job) {
+		go func(w int) {
 			defer wg.Done()
-			got, err := s.coal.predict(context.Background(), j.idx)
-			if err != nil {
-				errs <- err.Error()
-				return
+			for i := w; i < len(jobs); i += 8 {
+				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(jobs[i].body))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Sprintf("predict %s: status %d body %s", jobs[i].body, resp.StatusCode, b)
+					return
+				}
+				var pr predictResponse
+				if err := json.Unmarshal(b, &pr); err != nil {
+					errs <- err.Error()
+					return
+				}
+				if math.Float64bits(pr.Value) != math.Float64bits(jobs[i].want) {
+					errs <- fmt.Sprintf("predict %s = %v want %v", jobs[i].body, pr.Value, jobs[i].want)
+				}
 			}
-			if math.Float64bits(got) != math.Float64bits(j.want) {
-				errs <- fmt.Sprintf("coalesced %v = %v want %v", j.idx, got, j.want)
-			}
-		}(j)
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if s.met.flushes.Load() == 0 {
-		t.Fatal("coalescer executed no flushes")
+	if status, _ := postJSON(t, ts.URL+"/v1/predict", `{"index":[999,5,2]}`); status != http.StatusBadRequest {
+		t.Fatalf("bad index: status %d want 400", status)
 	}
-	if s.met.coalesced.Load() != int64(len(jobs)) {
-		t.Fatalf("coalesced %d predictions want %d", s.met.coalesced.Load(), len(jobs))
+	if got := s.met.predictions.Load(); got != int64(len(jobs)) {
+		t.Fatalf("predictions counter = %d want %d", got, len(jobs))
+	}
+	if got := s.met.errors("predict").Load(); got != 1 {
+		t.Fatalf("predict errors = %d want 1", got)
 	}
 }
 
-// MaxBatch=1 disables coalescing: /v1/predict must score on the handler
-// goroutine (direct PredictChecked path) with identical answers and 400s.
-func TestMaxBatchOneBypassesCoalescer(t *testing.T) {
+// A prediction JSON cannot carry — a factor row holding +Inf makes the
+// reconstruction non-finite — must be a counted JSON 500, never a 200 with
+// an empty body.
+func TestPredictNonFiniteIsCounted500(t *testing.T) {
 	m := fitModel(t, 7)
-	s, ts := testServer(t, Options{Model: m, MaxBatch: 1})
-	p := core.NewPredictor(m)
+	m.Factors[0].Set(1, 0, math.Inf(1))
+	s, ts := testServer(t, Options{Model: m})
 
-	status, resp := postJSON(t, ts.URL+"/v1/predict", `{"index":[3,5,2]}`)
-	if status != http.StatusOK {
-		t.Fatalf("status %d body %s", status, resp)
+	status, body := postJSON(t, ts.URL+"/v1/predict", `{"index":[1,2,3]}`)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("status %d body %q, want 500", status, body)
 	}
-	var pr predictResponse
-	if err := json.Unmarshal(resp, &pr); err != nil {
-		t.Fatal(err)
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("500 body is not a JSON error: %q", body)
 	}
-	if want := p.Predict([]int{3, 5, 2}); math.Float64bits(pr.Value) != math.Float64bits(want) {
-		t.Fatalf("direct-path predict %v want %v", pr.Value, want)
+	if got := s.met.errors("predict").Load(); got != 1 {
+		t.Fatalf("predict errors = %d want 1", got)
 	}
-	if status, _ := postJSON(t, ts.URL+"/v1/predict", `{"index":[999,5,2]}`); status != http.StatusBadRequest {
-		t.Fatalf("direct-path bad index: status %d want 400", status)
-	}
-	if got := s.met.flushes.Load(); got != 0 {
-		t.Fatalf("coalescer flushed %d times with MaxBatch=1", got)
-	}
-	if got := s.Shards(); got != 0 {
-		t.Fatalf("Shards() = %d with MaxBatch=1, want 0 (no dispatchers spun up)", got)
-	}
-	if got := s.met.predictions.Load(); got != 1 {
-		t.Fatalf("predictions counter = %d want 1", got)
+	// Rows without the poisoned entry still answer.
+	if status, body := postJSON(t, ts.URL+"/v1/predict", `{"index":[2,2,3]}`); status != http.StatusOK {
+		t.Fatalf("finite row: status %d body %s", status, body)
 	}
 }
 
@@ -566,24 +573,4 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // must not panic
-}
-
-// Closing the server while predictions are queued must fail them with
-// ErrServerClosed, never hang them.
-func TestCloseFailsQueuedPredictions(t *testing.T) {
-	m := fitModel(t, 7)
-	s, err := New(Options{Model: m, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = s.coal.predict(context.Background(), []int{1, 2, 3})
-		}()
-	}
-	s.Close()
-	wg.Wait() // must terminate
 }

@@ -32,9 +32,17 @@ go test -run '^$' -bench '^BenchmarkPredictSparse$' -benchtime 100000x -count 3 
 go test -run '^$' -bench '^BenchmarkRecommend(Sparse)?$' -benchtime 20000x -count 3 . | tee -a "$out"
 # Batched reconstruction (~5ms/op → ~0.5s windows).
 go test -run '^$' -bench '^BenchmarkPredictBatch(Serial)?$' -benchtime 100x -count 3 . | tee -a "$out"
-# Coalesced /v1/predict hot path, single-dispatcher baseline vs 4 shards
-# (~1µs/op → ~100ms windows; steady state, not warmup).
-go test -run '^$' -bench '^BenchmarkServeCoalescedPredict$' -benchtime 100000x -count 3 -cpu 4 ./internal/serve | tee -a "$out"
+# One /v1/predict through the whole handler stack in process — instrument,
+# deadline, decode, kernel, encode — against an httptest recorder (~10µs/op
+# → ~200ms windows). Gated on ns/op like the rest AND on an allocs/op
+# ceiling: the request path's allocations are its GC cost under load.
+go test -run '^$' -bench '^BenchmarkServeHandlerPredict$' -benchtime 20000x -count 3 -benchmem ./internal/serve | tee -a "$out"
+if grep '^BenchmarkServeHandlerPredict' "$out" | awk '{ for (i=1; i<NF; i++) if ($(i+1) == "allocs/op" && $i > 40) exit 1 }'; then
+    :
+else
+    echo "bench-gate: BenchmarkServeHandlerPredict allocates more than 40 times per request" >&2
+    exit 1
+fi
 # One full plain / cached / truncated fit iteration (init, one ALS sweep,
 # finalize) of the 10k-entry order-3 workload — the paper's row update, the
 # fit path's gate (~14/25/30ms per op → ~0.4-0.6s windows).
