@@ -472,10 +472,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // Many distinct predictions racing through the handler must each get
-// exactly their own answer, bit-identical to the predictor's, and the
-// counters must add up: every request scored once, every bad index a 400.
-// Run with -race.
-func TestConcurrentPredictsMatchPredictor(t *testing.T) {
+// exactly their own answer, bit-identical to the predictor's, and each must
+// be counted once. Run with -race.
+func TestCoalescerAnswersMatchUnderLoad(t *testing.T) {
 	m := fitModel(t, 7)
 	s, ts := testServer(t, Options{Model: m})
 	p := core.NewPredictor(m)
@@ -530,11 +529,38 @@ func TestConcurrentPredictsMatchPredictor(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if status, _ := postJSON(t, ts.URL+"/v1/predict", `{"index":[999,5,2]}`); status != http.StatusBadRequest {
-		t.Fatalf("bad index: status %d want 400", status)
-	}
 	if got := s.met.predictions.Load(); got != int64(len(jobs)) {
 		t.Fatalf("predictions counter = %d want %d", got, len(jobs))
+	}
+	if got := s.met.errors("predict").Load(); got != 0 {
+		t.Fatalf("predict errors = %d want 0", got)
+	}
+}
+
+// /v1/predict scores on the handler goroutine (direct PredictChecked path):
+// a single request answers bit-identically to the predictor, a bad index is
+// a counted 400, and only the scored request counts as a prediction.
+func TestMaxBatchOneBypassesCoalescer(t *testing.T) {
+	m := fitModel(t, 7)
+	s, ts := testServer(t, Options{Model: m})
+	p := core.NewPredictor(m)
+
+	status, resp := postJSON(t, ts.URL+"/v1/predict", `{"index":[3,5,2]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d body %s", status, resp)
+	}
+	var pr predictResponse
+	if err := json.Unmarshal(resp, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Predict([]int{3, 5, 2}); math.Float64bits(pr.Value) != math.Float64bits(want) {
+		t.Fatalf("direct-path predict %v want %v", pr.Value, want)
+	}
+	if status, _ := postJSON(t, ts.URL+"/v1/predict", `{"index":[999,5,2]}`); status != http.StatusBadRequest {
+		t.Fatalf("direct-path bad index: status %d want 400", status)
+	}
+	if got := s.met.predictions.Load(); got != 1 {
+		t.Fatalf("predictions counter = %d want 1", got)
 	}
 	if got := s.met.errors("predict").Load(); got != 1 {
 		t.Fatalf("predict errors = %d want 1", got)
