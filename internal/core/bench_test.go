@@ -70,6 +70,46 @@ func BenchmarkIterationApprox(b *testing.B) {
 	}
 }
 
+// skewedTensor builds the shape of a (user, item, time) rating log: about
+// 20k distinct cells over 1500×1000×40, users and items drawn from a Zipf
+// law over shuffled rows (a few heavy rows, a long tail), time uniform.
+// Unlike benchTensor's uniform 1k³ cells, the entries of a row here share
+// coordinates — a user's ratings fall into 40 time slots — which is what
+// the row layout's resumed contraction exploits.
+func skewedTensor(b *testing.B) *tensor.Coord {
+	b.Helper()
+	rng := rand.New(rand.NewSource(79))
+	dims := []int{1500, 1000, 40}
+	zipfs := []*rand.Zipf{rand.NewZipf(rng, 1.3, 8, uint64(dims[0]-1)), rand.NewZipf(rng, 1.3, 8, uint64(dims[1]-1))}
+	perms := [][]int{rng.Perm(dims[0]), rng.Perm(dims[1])}
+	x := tensor.NewCoord(dims)
+	seen := make(map[[3]int]bool)
+	for x.NNZ() < 20000 {
+		cell := [3]int{perms[0][zipfs[0].Uint64()], perms[1][zipfs[1].Uint64()], rng.Intn(dims[2])}
+		if seen[cell] {
+			continue
+		}
+		seen[cell] = true
+		x.MustAppend(cell[:], rng.Float64())
+	}
+	return x
+}
+
+// BenchmarkIterationSkewed is BenchmarkIterationPlain on skewedTensor at
+// J=8: the shape of a skewed rating log, where rows share coordinates.
+func BenchmarkIterationSkewed(b *testing.B) {
+	x := skewedTensor(b)
+	cfg := benchConfig(PTucker)
+	cfg.Ranks = []int{8, 8, 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompose(x, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIterationOrder is the Figure 6(a) order sweep of the plain vs
 // cached δ trade: one iteration at J=3 per mode on 10k entries over 1k^N
 // cells, N = 3, 4, 5. Plain δ costs about |G| multiplies per observed entry

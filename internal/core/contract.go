@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/mat"
@@ -11,10 +12,11 @@ import (
 // the data, built here over the core. Level 0 holds the distinct root-mode
 // coordinates, each deeper level the distinct coordinates of the next mode
 // under its parent's prefix, and the leaves are the entries, values copied
-// into tree order. Below the root the modes run from N-1 down to 0, so the
-// root-(N-1) tree is the offset-sorted entry list with shared prefixes
-// merged. A tree is immutable and depends only on the entry set, not on the
-// order of the entry list.
+// into tree order. The cached trees serving predict and recommend run the
+// modes below the root from N-1 down to 0, so the root-(N-1) tree is the
+// offset-sorted entry list with shared prefixes merged; the fit picks its
+// own level order (see fitLevels). A tree is immutable and depends only on
+// the entry set and the level order, not on the order of the entry list.
 type coreTree struct {
 	modes []int     // modes[l] is the core mode of level l; modes[0] is the root
 	ids   [][]int32 // ids[l][v] is node v's coordinate in mode modes[l]
@@ -23,10 +25,14 @@ type coreTree struct {
 }
 
 // coreTrees holds the lazily built trees of one entry set, one per root
-// mode; clones of a core share it.
+// mode in the default level order plus the other orders asked for (the
+// fit's); clones of a core share it.
 type coreTrees struct {
 	once []sync.Once
 	tree []*coreTree
+
+	mu    sync.Mutex
+	other []*coreTree // non-default level orders, found by their modes
 }
 
 // treeSet returns the tree set of the current entry set, creating an empty
@@ -40,34 +46,65 @@ func (c *CoreTensor) treeSet() *coreTrees {
 	return c.trees.Load()
 }
 
-// tree returns the tree rooted at mode root, building it on first use; safe
-// for concurrent callers.
+// tree returns the tree rooted at mode root in the default level order,
+// building it on first use; safe for concurrent callers.
 func (c *CoreTensor) tree(root int) *coreTree {
 	ts := c.treeSet()
-	ts.once[root].Do(func() { ts.tree[root] = c.buildTree(root) })
+	ts.once[root].Do(func() { ts.tree[root] = c.buildTree(defaultLevels(root, len(c.dims))) })
 	return ts.tree[root]
+}
+
+// treeFor returns the tree with the given level order, building it on first
+// use and keeping it until the entries or their values change; safe for
+// concurrent callers.
+func (c *CoreTensor) treeFor(levels []int) *coreTree {
+	// The default order is the only one whose levels below the root descend.
+	if slices.IsSortedFunc(levels[1:], func(a, b int) int { return b - a }) {
+		return c.tree(levels[0])
+	}
+	ts := c.treeSet()
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	for _, t := range ts.other {
+		if slices.Equal(t.modes, levels) {
+			return t
+		}
+	}
+	t := c.buildTree(levels)
+	ts.other = append(ts.other, t)
+	return t
 }
 
 // resetTrees drops the trees after the entries or their values changed;
 // clones that shared them keep them.
 func (c *CoreTensor) resetTrees() { c.trees.Store(nil) }
 
-// buildTree builds the tree rooted at mode root in O(N·|G|): offsetOrder
-// sorts the entries by (i_{N-1}, …, i_0), one more stable counting pass
-// over the root coordinate gives any other root's order (i_root, i_{N-1},
-// …, i_0), and each entry then opens a node at every level from the first
-// where its path leaves the previous entry's.
-func (c *CoreTensor) buildTree(root int) *coreTree {
-	n := len(c.dims)
-	modes := []int{root}
+// defaultLevels is the level order of the cached tree rooted at root: the
+// root, then the other modes from N-1 down to 0.
+func defaultLevels(root, n int) []int {
+	levels := []int{root}
 	for k := n - 1; k >= 0; k-- {
 		if k != root {
-			modes = append(modes, k)
+			levels = append(levels, k)
 		}
 	}
-	perm := c.offsetOrder()
-	if root != n-1 {
-		perm = c.sortByMode(perm, root)
+	return levels
+}
+
+// buildTree builds the tree with the given level order (levels[0] the root,
+// the last level the leaves) in O(N·|G|): one stable counting pass per
+// level, leaves first, sorts the entries lexicographically by their level
+// coordinates, and each entry then opens a node at every level from the
+// first where its path leaves the previous entry's.
+func (c *CoreTensor) buildTree(levels []int) *coreTree {
+	n := len(c.dims)
+	modes := slices.Clone(levels)
+	perm := make([]int32, len(c.val))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for l := n - 1; l >= 0; l-- {
+		perm = c.sortByMode(perm, modes[l])
 	}
 	t := &coreTree{modes: modes, ids: make([][]int32, n), ptr: make([][]int32, n-1), val: make([]float64, len(perm))}
 	prev := -1
@@ -124,14 +161,64 @@ func (c *CoreTensor) sortByMode(perm []int32, k int) []int32 {
 	return out
 }
 
+// foldCursor is what a resumable contraction keeps between calls: every
+// level's node sums and the coordinates they were folded with. The zero
+// value is a fresh cursor.
+type foldCursor struct {
+	tree  *coreTree   // the tree the sums were folded on; nil: nothing to resume
+	at    []int32     // the coordinates, by mode, of the last fold
+	level [][]float64 // level[l] holds level l's node sums, l < leaf
+	sums  []float64   // backing store of level
+}
+
+// reset sizes the cursor for t and forgets what it folded; with keep set,
+// the next fold on t records its coordinates so later calls can resume.
+func (cur *foldCursor) reset(t *coreTree, keep bool) {
+	n := len(t.modes)
+	if cap(cur.level) < n || cap(cur.at) < n {
+		cur.level = make([][]float64, n)
+		cur.at = make([]int32, n)
+	}
+	cur.level, cur.at = cur.level[:n-1], cur.at[:n]
+	need := 0
+	for l := range cur.level {
+		need += len(t.ids[l])
+	}
+	if cap(cur.sums) < need {
+		cur.sums = make([]float64, need)
+	}
+	cur.sums = cur.sums[:need]
+	off := 0
+	for l := range cur.level {
+		cur.level[l] = cur.sums[off : off+len(t.ids[l])]
+		off += len(t.ids[l])
+	}
+	cur.tree = nil
+	if keep {
+		cur.tree = t
+	}
+}
+
 // contract writes out[j] = Σ_{β: β_root=j} Gβ ∏_{k≠root} rows[k][βk] for
 // every root coordinate j (len(out) = dims[root]); rows[root] is never read.
 // It folds the tree bottom-up one level at a time — the leaves into their
 // parents as Σ Gβ·a[id], then each level into the one above as Σ s·a[id] —
 // so every node below the root costs one multiply and one index load: about
 // |G|·(1 + 1/J + …) multiplies against the (N-1)·|G| of expanding each
-// entry. buf holds the level sums in place and needs NNZ() slots.
-func (t *coreTree) contract(rows [][]float64, out, buf []float64) {
+// entry.
+//
+// The fold resumes from cur. When at is non-nil it holds the coordinates,
+// indexed by mode, that rows were taken at. Level l's fold reads only the
+// coordinates of level l and the levels below it, so a call refolds from
+// the deepest level whose coordinate differs from cur's previous call on
+// this tree, and a call that differs only in the root refolds nothing:
+// calls ordered by the leaf coordinate, then the next level's, skip most of
+// the work (the fit's row layout). The caller resets cur whenever the
+// factor values behind rows change. With at nil — predict, recommend — or
+// a cursor last used on another tree, every level is folded, and a nil at
+// leaves nothing to resume. A resumed fold is bit-identical to a full one:
+// each level sum is the same sequence of operations on the same inputs.
+func (t *coreTree) contract(rows [][]float64, at []int32, out []float64, cur *foldCursor) {
 	clear(out)
 	leaf := len(t.modes) - 1
 	if leaf == 0 {
@@ -140,15 +227,28 @@ func (t *coreTree) contract(rows [][]float64, out, buf []float64) {
 		}
 		return
 	}
-	sums := buf[:len(t.ids[leaf-1])]
-	foldLevel(sums, t.val, t.ids[leaf], t.ptr[leaf-1], rows[t.modes[leaf]])
-	for l := leaf - 1; l > 0; l-- {
-		// In place: node v's children start at ptr[v] ≥ v, so sums[v] is
-		// overwritten only after every read of it.
-		foldLevel(sums[:len(t.ids[l-1])], sums, t.ids[l], t.ptr[l-1], rows[t.modes[l]])
+	l := leaf
+	if at != nil && cur.tree == t {
+		for l > 0 && at[t.modes[l]] == cur.at[t.modes[l]] {
+			l--
+		}
+	} else {
+		cur.reset(t, at != nil)
+	}
+	src := t.val
+	if l < leaf {
+		src = cur.level[l]
+	}
+	for ; l > 0; l-- {
+		dst := cur.level[l-1]
+		foldLevel(dst, src, t.ids[l], t.ptr[l-1], rows[t.modes[l]])
+		src = dst
+	}
+	if at != nil {
+		copy(cur.at, at)
 	}
 	for v, id := range t.ids[0] {
-		out[id] = sums[v]
+		out[id] = src[v]
 	}
 }
 
@@ -165,10 +265,10 @@ func foldLevel(dst, src []float64, ids, ptr []int32, a []float64) {
 }
 
 // predict evaluates Eq. (4), Σ_β Gβ ∏_k rows[k][βk], as
-// rows[N-1]·contract_{N-1}(rows). out needs dims[N-1] slots and buf NNZ().
-func (c *CoreTensor) predict(rows [][]float64, out, buf []float64) float64 {
+// rows[N-1]·contract_{N-1}(rows), a full fold. out needs dims[N-1] slots.
+func (c *CoreTensor) predict(rows [][]float64, out []float64, cur *foldCursor) float64 {
 	last := len(c.dims) - 1
-	c.tree(last).contract(rows, out, buf)
+	c.tree(last).contract(rows, nil, out, cur)
 	return mat.Dot(rows[last], out)
 }
 

@@ -55,10 +55,10 @@ func closeRel(got, want, scale float64) bool {
 // with the per-entry reference.
 func checkContract(t *testing.T, g *CoreTensor, rows [][]float64) {
 	t.Helper()
-	buf := make([]float64, g.NNZ())
+	var cur foldCursor
 	for root := range g.dims {
 		got := make([]float64, g.dims[root])
-		g.tree(root).contract(rows, got, buf)
+		g.tree(root).contract(rows, nil, got, &cur)
 		want, scale := naiveContract(g, root, rows)
 		for j := range got {
 			if !closeRel(got[j], want[j], scale[j]) {
@@ -176,11 +176,13 @@ func TestCoreTreeStaleness(t *testing.T) {
 		for alpha := 0; alpha < x.NNZ(); alpha += 37 {
 			idx := x.Index(alpha)
 			rows := make([][]float64, len(dims))
+			at := make([]int32, len(dims))
 			for k := range rows {
 				rows[k] = st.factors[k].Row(idx[k])
+				at[k] = int32(idx[k])
 			}
 			for mode := range dims {
-				got := st.computeDelta(mode, alpha, w)
+				got := st.computeDelta(mode, st.fitTree(mode), at, alpha, w)
 				want, scale := naiveContract(st.core, mode, rows)
 				for j := range want {
 					if !closeRel(got[j], want[j], scale[j]) {
@@ -242,11 +244,11 @@ func TestCoreTreeConcurrentBuild(t *testing.T) {
 			if w%2 == 1 {
 				c = g.Clone()
 			}
-			buf := make([]float64, c.NNZ())
+			var cur foldCursor
 			for i := 0; i < len(dims); i++ {
 				root := (w + i) % len(dims)
 				out := make([]float64, dims[root])
-				c.tree(root).contract(rows, out, buf)
+				c.tree(root).contract(rows, nil, out, &cur)
 				for j := range out {
 					if math.Abs(out[j]-want[root][j]) > 1e-12*math.Max(1, math.Abs(want[root][j])) {
 						t.Errorf("worker %d root %d: out[%d] = %v, reference %v", w, root, j, out[j], want[root][j])
@@ -305,10 +307,10 @@ func FuzzCoreContract(f *testing.F) {
 			}
 		}
 
-		buf := make([]float64, g.NNZ())
+		var cur foldCursor
 		for root := range dims {
 			got := make([]float64, dims[root])
-			g.tree(root).contract(rows, got, buf)
+			g.tree(root).contract(rows, nil, got, &cur)
 			want, scale := naiveContract(g, root, rows)
 			for j := range got {
 				if math.IsInf(got[j], 0) || math.IsNaN(got[j]) {

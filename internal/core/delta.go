@@ -8,24 +8,26 @@ import "math"
 // (Algorithm 3, note under lines 12/19).
 const aZeroTol = 1e-12
 
-// computeDelta fills w.out with the δ(n)_α vector of Eq. (12) for observed
-// entry alpha and the given mode: δ(jn) = Σ_{β∈G, βn=jn} Gβ ∏_{k≠n}
-// A(k)[ik][jk]. It returns the filled slice (length Jn).
+// computeDelta fills w.out with the δ(n)_α vector of Eq. (12) for the
+// observed entry at coordinates at (entry id alpha, read only by the cache)
+// and the given mode: δ(jn) = Σ_{β∈G, βn=jn} Gβ ∏_{k≠n} A(k)[ik][jk]. It
+// returns the filled slice (length Jn).
 //
-// Plain P-Tucker contracts the core's tree rooted at the mode (see
-// coreTree.contract), about one multiply per core entry; P-Tucker-Cache
-// divides the memoized full product Pres[α][β] by the mode-n factor entry,
-// O(1) per (α,β) pair (this is the entire time-vs-memory trade of the
-// variant).
-func (st *state) computeDelta(mode, alpha int, w *workspace) []float64 {
+// Plain P-Tucker contracts t, the core's fit tree rooted at the mode (see
+// coreTree.contract), resuming from w's cursor: about one multiply per core
+// entry for a fresh leaf coordinate, and only the upper levels' few when
+// the previous entry shared it. P-Tucker-Cache divides the memoized full
+// product Pres[α][β] by the mode-n factor entry, O(1) per (α,β) pair (this
+// is the entire time-vs-memory trade of the variant).
+func (st *state) computeDelta(mode int, t *coreTree, at []int32, alpha int, w *workspace) []float64 {
 	g := st.core
 	n := g.Order()
 	jn := st.cfg.Ranks[mode]
 	delta := w.out[:jn]
 
-	rows := w.load(st.factors, st.x.Index(alpha))
+	rows := w.loadAt(st.factors, at)
 	if st.cache == nil {
-		g.tree(mode).contract(rows, delta, w.buf)
+		t.contract(rows, at, delta, &w.cur)
 		return delta
 	}
 

@@ -113,7 +113,7 @@ func ResumeFitter(m *Model, cfg Config) (*Fitter, error) {
 	x := tensor.NewCoord(dims)
 	st := &state{
 		x:       x,
-		omega:   tensor.NewModeIndex(x),
+		layout:  newLayouts(x, cfg.Method == PTuckerCache, cfg.Threads),
 		factors: factors,
 		core:    m.Core.Clone(),
 		cfg:     cfg,
@@ -157,7 +157,7 @@ func (f *Fitter) Observe(delta []Observation) error {
 	for _, o := range delta {
 		f.st.x.MustAppend(o.Index, o.Value)
 	}
-	f.st.omega = nil // stale; rebuilt by the next Refit
+	f.st.layout = nil // stale; rebuilt by the next Refit
 	return nil
 }
 
@@ -185,10 +185,10 @@ func (f *Fitter) Refit(ctx context.Context, delta []Observation) (*Model, error)
 		return nil, ErrEmptyTensor
 	}
 
-	// Rebuild the structures FoldIn/Observe invalidated: the inverted index
+	// Rebuild the structures FoldIn/Observe invalidated: the row layouts
 	// always (new entries), the Pres cache for P-Tucker-Cache (new entries
 	// and possibly new rows).
-	st.omega = tensor.NewModeIndex(st.x)
+	st.layout = newLayouts(st.x, st.cfg.Method == PTuckerCache, st.cfg.Threads)
 	if st.cfg.Method == PTuckerCache {
 		st.buildCache()
 	}
@@ -251,17 +251,14 @@ func (f *Fitter) FoldIn(mode int, obs []Observation) (int, error) {
 		}
 	}
 
-	// Grow the tensor's shape and append the new row's observations; their
-	// entry ids are exactly what Ω(mode)[newRow] would enumerate.
+	// Grow the tensor's shape and append the new row's observations; in
+	// layout order they are exactly what the new row of a rebuilt row
+	// layout would hold.
 	st.x.GrowMode(mode, newRow+1)
-	base := st.x.NNZ()
 	for _, o := range obs {
 		st.x.MustAppend(o.Index, o.Value)
 	}
-	entries := make([]int, len(obs))
-	for i := range entries {
-		entries[i] = base + i
-	}
+	levels := fitLevels(mode, st.x.Dims())
 
 	// Copy-on-write row append: the grown matrix is a fresh allocation, so
 	// any previously snapshotted model keeps the old one untouched.
@@ -273,14 +270,15 @@ func (f *Fitter) FoldIn(mode int, obs []Observation) (int, error) {
 
 	// The Pres cache (P-Tucker-Cache) is indexed by entry id and sized for
 	// the pre-append |Ω|; drop it so the solve takes the direct-product path
-	// (Refit rebuilds it). The inverted index is likewise stale.
+	// (Refit rebuilds it). The row layouts are likewise stale.
 	st.cache = nil
 	st.cacheW = 0
-	st.omega = nil
+	st.layout = nil
 
-	// Solve Eq. 9 once for the new row with the shared row kernel.
+	// Solve Eq. 9 once for the new row with the shared row kernel, on the
+	// tree a cold fit's row update of this mode would contract.
 	w := newWorkspace(st.core, st.cfg.Ranks[mode])
-	st.solveRowEntries(mode, entries, grown.Row(newRow), w)
+	st.solveRow(mode, st.core.treeFor(levels), sortRun(obs, levels), grown.Row(newRow), w)
 	return newRow, nil
 }
 
@@ -340,7 +338,7 @@ func (f *Fitter) AttachTrainingSet(x *tensor.Coord) error {
 	}
 	st.x = merged
 	// Entry-indexed structures are stale; Refit rebuilds them.
-	st.omega = nil
+	st.layout = nil
 	st.cache = nil
 	st.cacheW = 0
 	return nil

@@ -96,12 +96,12 @@ func TestFoldInMatchesColdFitRowUpdate(t *testing.T) {
 		factors[0] = grown
 		st := &state{
 			x:       x2,
-			omega:   tensor.NewModeIndex(x2),
+			layout:  newLayouts(x2, false, 1),
 			factors: factors,
 			core:    before.Core.Clone(),
 			cfg:     vcfg,
 		}
-		st.updateRow(0, newRow, newWorkspace(st.core, vcfg.Ranks[0]))
+		st.updateRow(0, newRow, st.fitTree(0), newWorkspace(st.core, vcfg.Ranks[0]))
 		want := grown.Row(newRow)
 
 		for j := range want {

@@ -88,20 +88,27 @@ func (m *Model) Predict(idx []int) float64 {
 
 // kernelScratch is one goroutine's working memory for the core
 // contraction: the factor-row views, the contraction output (one slot per
-// coordinate of the largest core mode), and the tree's level sums.
+// coordinate of the largest core mode), and the fold cursor holding the
+// tree's level sums.
 type kernelScratch struct {
 	rows [][]float64
 	out  []float64
-	buf  []float64
+	cur  foldCursor
 }
 
+// newKernelScratch sizes the scratch for g: the level sums start with |G|
+// slots, enough for any tree of a core whose modes all have J ≥ 2 (the
+// cursor grows them otherwise). Every piece is cache-line padded (see
+// lineSlice): the fit's workers write theirs on every entry.
 func newKernelScratch(g *CoreTensor) *kernelScratch {
 	maxJ := 0
 	for _, j := range g.dims {
 		maxJ = max(maxJ, j)
 	}
-	mem := make([]float64, maxJ+g.NNZ())
-	return &kernelScratch{rows: make([][]float64, len(g.dims)), out: mem[:maxJ], buf: mem[maxJ:]}
+	n := len(g.dims)
+	mem := lineSlice[float64](maxJ + g.NNZ())
+	cur := foldCursor{at: lineSlice[int32](n), level: lineSlice[[]float64](n), sums: mem[maxJ:maxJ]}
+	return &kernelScratch{rows: lineSlice[[]float64](n), out: mem[:maxJ], cur: cur}
 }
 
 // scratchPerThread returns one kernelScratch per worker thread.
@@ -121,11 +128,19 @@ func (s *kernelScratch) load(factors []*mat.Dense, idx []int) [][]float64 {
 	return s.rows
 }
 
+// loadAt is load for the row layout's int32 coordinates.
+func (s *kernelScratch) loadAt(factors []*mat.Dense, at []int32) [][]float64 {
+	for k, a := range factors {
+		s.rows[k] = a.Row(int(at[k]))
+	}
+	return s.rows
+}
+
 // predict evaluates Eq. (4) at the factor rows in s.rows. Model.Predict,
-// Predictor, the fit's error pass, and core refinement all answer through
-// it, so they agree bit for bit on equal inputs.
+// Predictor, Model.ReconstructionError, and core refinement all answer
+// through it, so they agree bit for bit on equal inputs.
 func (s *kernelScratch) predict(g *CoreTensor) float64 {
-	return g.predict(s.rows, s.out[:g.dims[len(g.dims)-1]], s.buf)
+	return g.predict(s.rows, s.out[:g.dims[len(g.dims)-1]], &s.cur)
 }
 
 // ReconstructionError computes Eq. (5) over the observed entries of x, in

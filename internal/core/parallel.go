@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // runIndexed distributes n work items over `threads` workers and calls
@@ -50,13 +51,14 @@ func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, it
 	if chunk < 1 {
 		chunk = 1
 	}
-	var cursor int64
+	// The chunk counter every worker hammers gets a cache line to itself.
+	cursor := &new(paddedCounter).n
 	for t := 0; t < threads; t++ {
 		go func(tid int) {
 			defer wg.Done()
 			var done int64
 			for {
-				start := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
+				start := int(atomic.AddInt64(cursor, int64(chunk))) - chunk
 				if start >= n {
 					break
 				}
@@ -74,6 +76,29 @@ func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, it
 	}
 	wg.Wait()
 	return counts
+}
+
+// cacheLine is the cache-line size the per-thread scratch is padded to.
+const cacheLine = 64
+
+// paddedCounter is an int64 alone on its cache line.
+type paddedCounter struct {
+	_ [cacheLine]byte
+	n int64
+	_ [cacheLine]byte
+}
+
+// lineSlice returns a slice of length n whose allocation is a whole number
+// of cache lines. Go's size classes put such objects on line boundaries, so
+// scratch one worker writes never shares a line with data another worker
+// touches — false sharing that otherwise costs the row update of a small
+// core more than its arithmetic.
+func lineSlice[T any](n int) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	// The capacity must be a multiple of cacheLine / gcd(size, cacheLine).
+	step := cacheLine / min(size&-size, cacheLine)
+	return make([]T, n, max((n+step-1)/step*step, step))
 }
 
 // parallelSum evaluates fn for every item in [0,n) and returns the sum of the

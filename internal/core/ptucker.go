@@ -75,7 +75,7 @@ func decompose(ctx context.Context, x *tensor.Coord, cfg Config) (*Model, *state
 }
 
 // newState performs the init phase: random factors and core from cfg.Seed
-// (Algorithm 2 line 1), the per-mode inverted index, and the Pres cache for
+// (Algorithm 2 line 1), the per-mode row layouts, and the Pres cache for
 // P-Tucker-Cache. cfg must already be validated/normalized.
 func newState(x *tensor.Coord, cfg Config) *state {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -91,7 +91,7 @@ func newState(x *tensor.Coord, cfg Config) *state {
 	}
 	st := &state{
 		x:       x,
-		omega:   tensor.NewModeIndex(x),
+		layout:  newLayouts(x, cfg.Method == PTuckerCache, cfg.Threads),
 		factors: factors,
 		core:    NewRandomCore(cfg.Ranks, rng),
 		cfg:     cfg,
@@ -145,6 +145,12 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 		// rather than only the last mode's rows.
 		work := make([]int64, cfg.Threads)
 		rowStart := time.Now()
+		// The sweep's fit trees, one per mode, built up front: a tree
+		// built right before its mode's workers start makes that mode's
+		// update measurably slower (~10% of BenchmarkIterationPlain).
+		for mode := 0; mode < n; mode++ {
+			st.fitTree(mode)
+		}
 		for mode := 0; mode < n; mode++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -165,7 +171,7 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 
 		// Line 4: reconstruction error by Eq. (5).
 		errStart := time.Now()
-		errNow := reconstructionError(x, st.factors, st.core, cfg.Threads)
+		errNow := st.sweepError()
 		errorPass := time.Since(errStart)
 		// |G| is captured at the same instant as Error — after the factor
 		// updates, before this iteration's truncation — so an IterStats
@@ -294,8 +300,10 @@ func finalize(factors []*mat.Dense, g *CoreTensor, sparse bool) error {
 
 // state carries the mutable pieces of one Decompose run.
 type state struct {
-	x       *tensor.Coord
-	omega   *tensor.ModeIndex
+	x *tensor.Coord
+	// layout holds each mode's row layout of x (see rowLayout); nil while
+	// Observe, FoldIn or AttachTrainingSet have left it stale.
+	layout  []*rowLayout
 	factors []*mat.Dense
 	core    *CoreTensor
 	cfg     Config
@@ -318,7 +326,9 @@ type state struct {
 // intermediateBytes returns the analytic intermediate-data footprint
 // (Definition 7) of the configured variant, matching Table III:
 // O(T·J²) for P-Tucker (each thread holds δ, c, B, and the Cholesky factor),
-// plus O(|Ω|·|G|) for the cache table.
+// plus O(|Ω|·|G|) for the cache table. The row layouts are not counted: they
+// are the input data, N·|Ω|·(4N+8) bytes reordered once per mode (see
+// rowLayout), standing where the inverted index stood.
 func (st *state) intermediateBytes() int64 {
 	maxJ := 0
 	for _, j := range st.cfg.Ranks {
@@ -335,30 +345,34 @@ func (st *state) intermediateBytes() int64 {
 }
 
 // workspace is the per-thread scratch of the row update: the contraction
-// scratch (its out slice holds δ), the normal matrix B, and the right-hand
-// side c. Its size is what gives P-Tucker its O(T·J²) memory bound, plus one
-// |G|-slot buffer for the tree's level sums.
+// scratch (its out slice holds δ, its cursor the tree's level sums), the
+// normal matrix B, the right-hand side c, and the Cholesky factor, reused
+// by every row the thread solves. Its size is what gives P-Tucker its
+// O(T·J²) memory bound, plus the level sums (about |G| slots).
 type workspace struct {
 	kernelScratch
-	b *mat.Dense
-	c []float64
+	b    *mat.Dense
+	c    []float64
+	chol mat.Cholesky
 }
 
 func newWorkspace(g *CoreTensor, maxJ int) *workspace {
 	return &workspace{
 		kernelScratch: *newKernelScratch(g),
-		b:             mat.NewDense(maxJ, maxJ),
-		c:             make([]float64, maxJ),
+		b:             mat.NewDenseData(maxJ, maxJ, lineSlice[float64](maxJ*maxJ)),
+		c:             lineSlice[float64](maxJ),
 	}
 }
 
 // updateFactor applies the row-wise update rule (Eq. 9) to every row of
 // A(mode), in parallel (Algorithm 3 lines 5-15), and returns the per-thread
-// row counts for balance reporting.
+// row counts for balance reporting. Each worker's cursor resumes the
+// contraction from one entry of the mode's row layout to the next.
 func (st *state) updateFactor(mode int) []int64 {
 	a := st.factors[mode]
 	jn := st.cfg.Ranks[mode]
 	threads := st.cfg.Threads
+	tree := st.fitTree(mode)
 
 	var oldA *mat.Dense
 	if st.cache != nil {
@@ -371,7 +385,7 @@ func (st *state) updateFactor(mode int) []int64 {
 	}
 
 	counts := runIndexed(threads, st.cfg.Scheduling, st.cfg.ChunkSize, a.Rows(), func(tid, in int) {
-		st.updateRow(mode, in, ws[tid])
+		st.updateRow(mode, in, tree, ws[tid])
 	})
 
 	if st.cache != nil {
@@ -380,24 +394,32 @@ func (st *state) updateFactor(mode int) []int64 {
 	return counts
 }
 
-// updateRow recomputes row in of A(mode) by Eq. (9) over the observed
-// entries Ω(n)[in] from the inverted index.
-func (st *state) updateRow(mode, in int, w *workspace) {
-	st.solveRowEntries(mode, st.omega.Slice(mode, in), st.factors[mode].Row(in), w)
+// fitTree returns the core's tree in the level order of mode's row layout.
+func (st *state) fitTree(mode int) *coreTree {
+	return st.core.treeFor(st.layout[mode].levels)
 }
 
-// solveRowEntries is the single-row least-squares kernel of Algorithm 3: it
-// accumulates B(n)[in] (Eq. 10) and c(n)[in] (Eq. 11) over the given observed
-// entry ids, then solves the SPD system [B + λI]ᵀ row = c in place. Rows with
-// no observations are set to zero — the exact minimizer of the regularized
-// loss for them — unless st.keepEmptyRows holds (warm refit). It is shared by
-// the full per-mode sweep (updateRow) and by online fold-in, which solves it
-// exactly once for a brand-new row at O(nnz_i·J²·|G|-factor) cost instead of
-// running a whole fit.
-func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *workspace) {
-	jn := st.cfg.Ranks[mode]
+// updateRow recomputes row in of A(mode) by Eq. (9) over the observed
+// entries Ω(n)[in], read from the mode's row layout; t is the mode's fit
+// tree.
+func (st *state) updateRow(mode, in int, t *coreTree, w *workspace) {
+	st.solveRow(mode, t, st.layout[mode].row(in), st.factors[mode].Row(in), w)
+}
 
-	if len(entries) == 0 {
+// solveRow is the single-row least-squares kernel of Algorithm 3: it
+// accumulates B(n)[in] (Eq. 10) and c(n)[in] (Eq. 11) over the given
+// entries, which must be in layout order for t's levels, then solves the SPD
+// system [B + λI]ᵀ row = c in place. Rows with no observations are set to
+// zero — the exact minimizer of the regularized loss for them — unless
+// st.keepEmptyRows holds (warm refit). It is shared by the full per-mode
+// sweep (updateRow) and by online fold-in, which solves it exactly once for
+// a brand-new row at O(nnz_i·J²·|G|-factor) cost instead of running a whole
+// fit.
+func (st *state) solveRow(mode int, t *coreTree, entries entryRun, row []float64, w *workspace) {
+	jn := st.cfg.Ranks[mode]
+	n := len(st.factors)
+
+	if len(entries.vals) == 0 {
 		if st.keepEmptyRows {
 			return
 		}
@@ -411,25 +433,30 @@ func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *work
 	clear(c)
 
 	// Sampling extension (Config.SampleRate): fit the row to a deterministic
-	// stride subsample of its observations. The subsampled normal equations
-	// remain a well-posed ridge regression; small rows are never subsampled
-	// below minSampleEntries so the system stays informative.
+	// stride subsample of its observations, taken in layout order. The
+	// subsampled normal equations remain a well-posed ridge regression;
+	// small rows are never subsampled below minSampleEntries so the system
+	// stays informative.
+	count := len(entries.vals)
 	stride := 1
 	if r := st.cfg.SampleRate; r > 0 {
 		const minSampleEntries = 8
 		stride = int(math.Round(1 / r))
-		if len(entries)/max(stride, 1) < minSampleEntries {
-			stride = len(entries) / minSampleEntries
+		if count/max(stride, 1) < minSampleEntries {
+			stride = count / minSampleEntries
 		}
 		if stride < 1 {
 			stride = 1
 		}
 	}
 
-	for ei := 0; ei < len(entries); ei += stride {
-		alpha := entries[ei]
-		delta := st.computeDelta(mode, alpha, w)
-		xv := st.x.Value(alpha)
+	for p := 0; p < count; p += stride {
+		alpha := -1
+		if entries.ids != nil {
+			alpha = int(entries.ids[p])
+		}
+		delta := st.computeDelta(mode, t, entries.coords[p*n:(p+1)*n], alpha, w)
+		xv := entries.vals[p]
 		// B += δδᵀ (upper triangle), c += Xα·δ.
 		for j1 := 0; j1 < jn; j1++ {
 			d1 := delta[j1]
@@ -455,14 +482,51 @@ func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *work
 	// LU the fallback for λ=0 with degenerate B. If both fail the row is
 	// left unchanged, which keeps the loss monotone (skipping an update
 	// can never increase it above the previous iterate).
-	if ch, err := mat.NewCholesky(b); err == nil {
+	if err := w.chol.Factor(b); err == nil {
 		copy(row, c)
-		ch.SolveVecInPlace(row)
+		w.chol.SolveVecInPlace(row)
 		return
 	}
 	if sol, err := mat.SolveVec(b, c); err == nil {
 		copy(row, sol)
 	}
+}
+
+// sweepError is the sweep's error pass, Eq. (5), over the row layout of the
+// last mode: each row's entries contract the fit tree with a resuming
+// cursor, as the row update does, and dot the result with the row. Each
+// row's squared residual goes into its own slot and the slots are summed in
+// row order, so the error is bit-identical under any thread count,
+// scheduling policy and chunk size. It agrees with Model.ReconstructionError
+// up to rounding: the two contract trees of different level orders.
+func (st *state) sweepError() float64 {
+	last := len(st.factors) - 1
+	lay := st.layout[last]
+	t := st.fitTree(last)
+	a := st.factors[last]
+	n := last + 1
+	jn := st.cfg.Ranks[last]
+	slots := make([]float64, a.Rows())
+	scratch := scratchPerThread(st.core, st.cfg.Threads)
+	runIndexed(st.cfg.Threads, st.cfg.Scheduling, st.cfg.ChunkSize, a.Rows(), func(tid, i int) {
+		s := scratch[tid]
+		run := lay.row(i)
+		row := a.Row(i)
+		var ss float64
+		for p, v := range run.vals {
+			at := run.coords[p*n : (p+1)*n]
+			out := s.out[:jn]
+			t.contract(s.loadAt(st.factors, at), at, out, &s.cur)
+			r := v - mat.Dot(row, out)
+			ss += r * r
+		}
+		slots[i] = ss
+	})
+	var ss float64
+	for _, v := range slots {
+		ss += v
+	}
+	return math.Sqrt(ss)
 }
 
 // updateCore is the optional element-wise core refinement (extension; see

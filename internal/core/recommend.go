@@ -137,7 +137,7 @@ func (r *Recommender) contract(query []int, freeMode int) []float64 {
 		}
 	}
 	w := make([]float64, p.core.dims[freeMode])
-	p.core.tree(freeMode).contract(s.rows, w, s.buf)
+	p.core.tree(freeMode).contract(s.rows, nil, w, &s.cur)
 	p.pool.Put(s)
 	return w
 }

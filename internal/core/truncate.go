@@ -27,12 +27,12 @@ func PartialErrors(st *state) []float64 {
 	for t := range acc {
 		acc[t] = make([]float64, width)
 	}
-	// Each thread's per-entry products live in its scratch's |G|-slot buf.
 	scratch := scratchPerThread(g, threads)
+	prodBuf := make([]float64, threads*width) // each thread's per-entry products
 	runIndexed(threads, ScheduleStatic, 1, x.NNZ(), func(tid, alpha int) {
 		s := scratch[tid]
 		rows := s.load(st.factors, x.Index(alpha))
-		prods := s.buf[:width]
+		prods := prodBuf[tid*width : (tid+1)*width]
 		var full float64
 		if st.cache != nil {
 			cacheRow := st.cache[alpha*st.cacheW : alpha*st.cacheW+width]

@@ -168,18 +168,20 @@ func updateMode(x *tensor.Coord, omega *tensor.ModeIndex, factors []*mat.Dense, 
 			delta := make([]float64, r)
 			b := mat.NewDense(r, r)
 			c := make([]float64, r)
+			var ch mat.Cholesky
 			lo := tid * rows / threads
 			hi := (tid + 1) * rows / threads
 			for in := lo; in < hi; in++ {
-				updateRow(x, omega, factors, mode, in, cfg.Lambda, delta, b, c)
+				updateRow(x, omega, factors, mode, in, cfg.Lambda, delta, b, c, &ch)
 			}
 		}(t)
 	}
 	wg.Wait()
 }
 
-// updateRow solves the ridge normal equations for one factor row.
-func updateRow(x *tensor.Coord, omega *tensor.ModeIndex, factors []*mat.Dense, mode, in int, lambda float64, delta []float64, b *mat.Dense, c []float64) {
+// updateRow solves the ridge normal equations for one factor row; ch is the
+// worker's Cholesky factor, refactored in place for every row.
+func updateRow(x *tensor.Coord, omega *tensor.ModeIndex, factors []*mat.Dense, mode, in int, lambda float64, delta []float64, b *mat.Dense, c []float64, ch *mat.Cholesky) {
 	row := factors[mode].Row(in)
 	entries := omega.Slice(mode, in)
 	if len(entries) == 0 {
@@ -226,7 +228,7 @@ func updateRow(x *tensor.Coord, omega *tensor.ModeIndex, factors []*mat.Dense, m
 		}
 		b.Add(j1, j1, lambda)
 	}
-	if ch, err := mat.NewCholesky(b); err == nil {
+	if err := ch.Factor(b); err == nil {
 		copy(row, c)
 		ch.SolveVecInPlace(row)
 		return

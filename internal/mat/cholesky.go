@@ -16,11 +16,30 @@ type Cholesky struct {
 // NewCholesky factorizes the SPD matrix a. It returns ErrNotSPD if a is not
 // (numerically) symmetric positive definite. a is not modified.
 func NewCholesky(a *Dense) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factor refactorizes c in place as the factor of the SPD matrix a, reusing
+// c's storage when it is large enough, so a solver that factors one small
+// system after another allocates nothing per system. On error (ErrShape,
+// ErrNotSPD) c holds no usable factor until the next successful Factor. a
+// is not modified.
+func (c *Cholesky) Factor(a *Dense) error {
 	if a.rows != a.cols {
-		return nil, ErrShape
+		return ErrShape
 	}
 	n := a.rows
-	l := make([]float64, n*n)
+	if cap(c.l) < n*n {
+		c.l = make([]float64, n*n)
+	}
+	if c.n != n || len(c.l) != n*n {
+		c.n, c.l = n, c.l[:n*n]
+	}
+	l := c.l
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
@@ -29,7 +48,8 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotSPD
+					c.n = 0
+					return ErrNotSPD
 				}
 				l[i*n+i] = math.Sqrt(sum)
 			} else {
@@ -37,7 +57,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return nil
 }
 
 // SolveVec solves A*x = b for x, overwriting and returning x in a new slice.

@@ -307,6 +307,41 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 }
 
+// TestCholeskyFactorReuse: refactoring one Cholesky in place — across
+// sizes, and after a rejected matrix — solves bit-identically to a fresh
+// NewCholesky, and a same-size refactor allocates nothing.
+func TestCholeskyFactorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var ch Cholesky
+	for _, n := range []int{5, 3, 8, 8, 1} {
+		if err := ch.Factor(NewDenseData(2, 2, []float64{1, 2, 2, 1})); err != ErrNotSPD {
+			t.Fatalf("err = %v want ErrNotSPD", err)
+		}
+		a := randomSPD(rng, n)
+		if err := ch.Factor(a); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		fresh, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.Float64()
+		}
+		got, want := ch.SolveVec(b), fresh.SolveVec(b)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: reused factor solves %v, fresh %v", n, got, want)
+			}
+		}
+	}
+	a := randomSPD(rng, 8)
+	if allocs := testing.AllocsPerRun(100, func() { _ = ch.Factor(a) }); allocs != 0 {
+		t.Fatalf("refactoring allocates %v times", allocs)
+	}
+}
+
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomSPD(rng, 6)

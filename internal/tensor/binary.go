@@ -276,6 +276,9 @@ func ReadBinary(r io.Reader, order int, dims []int) (*Coord, error) {
 		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrTensorChecksum, sum, want)
 	}
 
+	if err := checkFinite(values); err != nil {
+		return nil, err
+	}
 	for e := 0; e < int(nnz); e++ {
 		for k := 0; k < n; k++ {
 			if i := indices[e*n+k]; i >= fileDims[k] {

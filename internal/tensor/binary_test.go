@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func coordsEqual(t *testing.T, a, b *Coord) {
@@ -245,4 +246,56 @@ func TestWriteBinaryFileOverwrite(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadersRejectNonFinite: the text reader, the binary reader and the
+// mapped decoder refuse NaN and ±Inf values — in every spelling and NaN bit
+// pattern — with ErrNonFinite naming the line or entry.
+func TestReadersRejectNonFinite(t *testing.T) {
+	for _, tc := range []struct{ value, where string }{
+		{"NaN", "line 2"},
+		{"nan", "line 2"},
+		{"Inf", "line 2"},
+		{"+Inf", "line 2"},
+		{"-inf", "line 2"},
+		{"infinity", "line 2"},
+	} {
+		in := "1 1 1 0.5\n2 1 1 " + tc.value + "\n"
+		_, err := Read(strings.NewReader(in), 3, nil)
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), tc.where) {
+			t.Fatalf("text value %q: err = %v, want ErrNonFinite naming %s", tc.value, err, tc.where)
+		}
+	}
+
+	for _, bits := range []uint64{
+		math.Float64bits(math.NaN()),
+		math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)),
+		0x7ff0000000000001, // signalling NaN
+		0xfff8000000000000, // negative quiet NaN
+		0x7fffffffffffffff, // all-ones payload
+	} {
+		x := randomCoord(rand.New(rand.NewSource(3)), []int{5, 4, 3}, 10)
+		x.SetValue(7, math.Float64frombits(bits))
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, x); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(bytes.NewReader(buf.Bytes()), 0, nil)
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "entry 7") {
+			t.Fatalf("binary value bits %#x: err = %v, want ErrNonFinite naming entry 7", bits, err)
+		}
+		_, err = CoordFromMapping(alignedCopy(buf.Bytes()))
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "entry 7") {
+			t.Fatalf("mapped value bits %#x: err = %v, want ErrNonFinite naming entry 7", bits, err)
+		}
+	}
+}
+
+// alignedCopy returns b copied into 8-byte-aligned memory, as a mapping is.
+func alignedCopy(b []byte) []byte {
+	words := make([]uint64, (len(b)+7)/8+1)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(b))
+	copy(out, b)
+	return out
 }

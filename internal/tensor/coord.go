@@ -19,10 +19,26 @@ import (
 // ErrDimension indicates indices that fall outside a tensor's shape.
 var ErrDimension = errors.New("tensor: index out of range for tensor dimensions")
 
+// ErrNonFinite reports a NaN or ±Inf value in a tensor file. One such entry
+// turns every fit over the tensor into NaN, so the readers refuse it.
+var ErrNonFinite = errors.New("tensor: non-finite value")
+
+// checkFinite returns an ErrNonFinite error naming the first NaN or ±Inf
+// in values by its 0-based entry number.
+func checkFinite(values []float64) error {
+	for e, v := range values {
+		if v-v != 0 { // NaN - NaN and Inf - Inf are NaN; finite v - v is 0
+			return fmt.Errorf("%w: entry %d is %v", ErrNonFinite, e, v)
+		}
+	}
+	return nil
+}
+
 // Coord is a sparse tensor in coordinate (COO) format. Entry e occupies
 // Indices[e*N : (e+1)*N] and Values[e], where N is the tensor order. The
 // flat index layout keeps all coordinates of an entry on one cache line,
-// which the row-update inner loops of P-Tucker depend on.
+// which the per-entry loops over a Coord (error passes, the P-Tucker-Cache
+// table) depend on.
 type Coord struct {
 	dims    []int
 	indices []int // flat, len = nnz * order

@@ -3,21 +3,36 @@ package tensor
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzReadBinary decodes arbitrary bytes as a binary tensor snapshot. An
-// input the decoder accepts must re-encode and re-decode to a stable byte
-// stream (the canonical serialization is a fixed point); inputs it rejects
-// must fail with an error, never a panic.
+// input the decoder accepts must hold only finite values and must re-encode
+// and re-decode to a stable byte stream (the canonical serialization is a
+// fixed point); inputs it rejects must fail with an error, never a panic.
 func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(BinaryMagic))
+	for _, v := range []float64{1.5, math.NaN(), math.Inf(-1)} {
+		x := NewCoord([]int{3, 2})
+		x.MustAppend([]int{2, 1}, v)
+		var b bytes.Buffer
+		if err := WriteBinary(&b, x); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		t1, err := ReadBinary(bytes.NewReader(data), 0, nil)
 		if err != nil {
 			return // rejected: fine
+		}
+		for e, v := range t1.Values() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted a snapshot with non-finite entry %d = %v", e, v)
+			}
 		}
 		var b1 bytes.Buffer
 		if err := WriteBinary(&b1, t1); err != nil {

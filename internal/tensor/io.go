@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -91,6 +92,9 @@ func Read(r io.Reader, order int, dims []int) (*Coord, error) {
 		val, err := strconv.ParseFloat(fields[order], 64)
 		if err != nil {
 			return nil, fmt.Errorf("tensor: line %d: bad value %q: %v", lineNo, fields[order], err)
+		}
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return nil, fmt.Errorf("%w: line %d: value %q", ErrNonFinite, lineNo, fields[order])
 		}
 		values = append(values, val)
 	}

@@ -45,9 +45,22 @@ else
 fi
 # One full plain / cached / truncated fit iteration (init, one ALS sweep,
 # finalize) of the 10k-entry order-3 workload — the paper's row update, the
-# fit path's gate (~14/25/30ms per op → ~0.4-0.6s windows).
-go test -run '^$' -bench '^BenchmarkIterationPlain$' -benchtime 30x -count 3 ./internal/core | tee -a "$out"
+# fit path's gate (~12/25/30ms per op → ~0.4-0.6s windows). Its uniform
+# 1k³ cells give a row's entries no shared coordinates, so the plain row
+# is the no-sharing case; it is also gated on an allocs/op ceiling (one
+# solver workspace per thread and mode, not one Cholesky factor per row).
+go test -run '^$' -bench '^BenchmarkIterationPlain$' -benchtime 30x -count 3 -benchmem ./internal/core | tee -a "$out"
+if grep '^BenchmarkIterationPlain' "$out" | awk '{ for (i=1; i<NF; i++) if ($(i+1) == "allocs/op" && $i > 500) exit 1 }'; then
+    :
+else
+    echo "bench-gate: BenchmarkIterationPlain allocates more than 500 times per fit" >&2
+    exit 1
+fi
 go test -run '^$' -bench '^BenchmarkIteration(Cache|Approx)$' -benchtime 20x -count 3 ./internal/core | tee -a "$out"
+# The same plain iteration on a skewed (user, item, time) log at J=8
+# (~40ms/op → ~0.4s windows): rows share coordinates, the case the row
+# layout's resumed contraction is for.
+go test -run '^$' -bench '^BenchmarkIterationSkewed$' -benchtime 10x -count 3 ./internal/core | tee -a "$out"
 # Online fold-in, Eq. 9 single-row solve (~12µs/op → ~60ms windows).
 go test -run '^$' -bench '^BenchmarkFoldIn$' -benchtime 5000x -count 3 ./internal/core | tee -a "$out"
 # Binary tensor snapshot load (~230µs/op → ~100ms windows).
