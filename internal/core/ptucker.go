@@ -145,12 +145,7 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 		// rather than only the last mode's rows.
 		work := make([]int64, cfg.Threads)
 		rowStart := time.Now()
-		// The sweep's fit trees, one per mode, built up front: a tree
-		// built right before its mode's workers start makes that mode's
-		// update measurably slower (~10% of BenchmarkIterationPlain).
-		for mode := 0; mode < n; mode++ {
-			st.fitTree(mode)
-		}
+		st.buildFitTrees()
 		for mode := 0; mode < n; mode++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -239,6 +234,7 @@ func (st *state) finish(ctx context.Context, model *Model) error {
 	approx := st.cfg.Method == PTuckerApprox
 	if approx {
 		start := time.Now()
+		st.buildFitTrees()
 		for mode := 0; mode < st.x.Order(); mode++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -397,6 +393,15 @@ func (st *state) updateFactor(mode int) []int64 {
 // fitTree returns the core's tree in the level order of mode's row layout.
 func (st *state) fitTree(mode int) *coreTree {
 	return st.core.treeFor(st.layout[mode].levels)
+}
+
+// buildFitTrees builds every mode's fit tree ahead of a sweep over the
+// modes: a tree built right before its mode's workers start makes that
+// mode's update measurably slower (~10% of BenchmarkIterationPlain).
+func (st *state) buildFitTrees() {
+	for mode := range st.layout {
+		st.fitTree(mode)
+	}
 }
 
 // updateRow recomputes row in of A(mode) by Eq. (9) over the observed
